@@ -1,15 +1,25 @@
 """Discrimination programs: global optimum, its certificate, separable bound.
 
 The global program maximizes the success probability over unambiguous
-measurements; conclusive elements are parameterized directly on their
-no-error subspaces so the zero-probability constraints hold by
-construction, and the completeness constraint is imposed on the joint
-span of those subspaces (value- and certificate-preserving, and much
-smaller than the ambient space).  The certificate program minimizes the
-trace of an operator that is PSD and dominates each weighted state on its
-no-error subspace; the separable-bound program minimizes the trace of a
-PSD operator whose pairing with every supplied cone generator dominates
-the corresponding weighted state pairing.
+measurements, with each conclusive element parameterized on its no-error
+subspace K_i so the zero-probability constraints hold by construction.
+The certificate program minimizes the trace of a PSD operator that
+dominates each weighted state on K_i; the separable-bound program
+minimizes the trace of a PSD operator H whose pairing with every cone
+generator dominates the weighted state's.
+
+Each program is posed, through one isometry helper, on the space its
+constraints can see, and both sizings are exact:
+
+- global and certificate programs: on the ensemble support
+  S = range(sum_j rho_j), with each K_i computed there as K_i ∩ S.  Every
+  state vanishes on S⊥, so S⊥ ⊆ K_i and K_i = S⊥ ⊕ (K_i ∩ S): the value,
+  condition 7c of the lifted certificate and the completed measurement
+  are unchanged.  Completeness is imposed on the joint span of the K_i ∩ S.
+- separable bound: on the joint support V of the generators (plus K_i for
+  an empty cone).  Every constraint sees H only through V and the
+  objective is Tr H, so P_V H P_V stays feasible with no larger trace, and
+  the certificate V h V† meets each full-space constraint as posed.
 """
 
 from __future__ import annotations
@@ -18,41 +28,63 @@ import numpy as np
 
 from .cones import ConeGenerators, conclusive_subspace
 from .ensembles import Ensemble, Measurement
-from .operators import RANK_TOL, HermitianOperator, identity
+from .operators import RANK_TOL, HermitianOperator
 from .solver import Block, ConicProgram, Constraint, SolveReport, hermitian_basis, smat, solve
 
 
-def _joint_basis(bases: list[np.ndarray], total_dim: int) -> np.ndarray:
-    if not bases:
-        return np.zeros((total_dim, 0), dtype=np.complex128)
-    stacked = np.hstack(bases)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    return np.ascontiguousarray(u[:, s > 1e-9])
+def _span(psd: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) of the range and kernel of a PSD matrix, split at ``tol``."""
+    vals, vecs = np.linalg.eigh((psd + psd.conj().T) / 2)
+    keep = vals > tol
+    return vecs[:, keep], vecs[:, ~keep]
+
+
+def _matrix_equality(target: np.ndarray, terms: dict[str, float | np.ndarray]) -> list[Constraint]:
+    """Scalar constraints imposing sum_b L_b(X_b) = target, one per Hermitian basis element.
+
+    ``terms`` maps a block name to its linear map: a matrix M stands for
+    X -> M X M†, a scalar s for X -> s X.
+    """
+    constraints = []
+    for f in hermitian_basis(target.shape[0]):
+        coeffs = {b: m.conj().T @ f @ m if isinstance(m, np.ndarray) else m * f for b, m in terms.items()}
+        constraints.append(Constraint(coeffs, float(np.tensordot(f, target.T, axes=2).real)))
+    return constraints
 
 
 def _conclusive_data(ensemble: Ensemble, rank_tol: float):
-    bases = [conclusive_subspace(ensemble, i, rank_tol) for i in range(ensemble.n)]
-    active = [i for i, basis in enumerate(bases) if basis.shape[1] > 0]
-    joint = _joint_basis([bases[i] for i in active], ensemble.dims.total)
-    reduced = {i: joint.conj().T @ bases[i] for i in active}
-    return bases, active, joint, reduced
+    """No-error subspaces K_i ∩ S of the ensemble support S, and their joint span.
+
+    Returns the isometry from joint-span coordinates into the full space
+    and, per state with a nonzero subspace, its basis in the full space and
+    in joint-span coordinates and the weighted state compressed onto it.
+    """
+    states = [rho.matrix for rho in ensemble.states]
+    support, _ = _span(sum(states), rank_tol)
+    if support.shape[1] == ensemble.dims.total:  # S is everything: keep the sparser standard basis
+        support = np.eye(ensemble.dims.total)
+    else:
+        states = [support.conj().T @ rho @ support for rho in states]
+    kernels = {}
+    for i in range(ensemble.n):
+        _, kernel = _span(sum((s for j, s in enumerate(states) if j != i), np.zeros_like(states[i])), rank_tol)
+        if kernel.shape[1]:
+            kernels[i] = kernel
+    q, r = np.linalg.qr(np.hstack([np.zeros((support.shape[1], 0))] + list(kernels.values())))
+    joint = q @ _span(r @ r.conj().T, rank_tol)[0]
+    data = {
+        i: (support @ k, joint.conj().T @ k, ensemble.priors[i] * (k.conj().T @ states[i] @ k))
+        for i, k in kernels.items()
+    }
+    return support @ joint, data
 
 
-def _trivial_report(ensemble: Ensemble, tol: float, seed: int) -> SolveReport:
-    dims = ensemble.dims
-    zero = HermitianOperator(np.zeros((dims.total,) * 2), dims)
-    elements = (identity(dims),) + (zero,) * ensemble.n
+def _zero_report(ensemble: Ensemble, tol: float, seed: int) -> SolveReport:
+    """Report of a program with nothing to solve: value 0, zero certificate."""
+    zero = HermitianOperator(np.zeros((ensemble.dims.total,) * 2), ensemble.dims)
+    residuals = dict.fromkeys(("primal", "dual", "gap"), 0.0)
     return SolveReport(
-        status="optimal",
-        value=0.0,
-        blocks={},
-        residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
-        iterations=0,
-        seed=seed,
-        tolerance=tol,
-        dual_certificate=zero,
-        measurement=Measurement(dims, elements, label="global-optimal"),
-        never_conclusive=list(range(ensemble.n)),
+        "optimal", 0.0, {}, residuals, 0, seed, tol, multipliers=np.zeros(0), dual_certificate=zero
     )
 
 
@@ -69,58 +101,36 @@ def solve_global(
     eigenvalue-clipped to PSD, the inconclusive element rebuilt so the
     family sums to the identity exactly), the trace-minimal dual
     certificate reconstructed from the completeness multipliers, and the
-    indices of states that can never be identified conclusively.
+    indices of states that can never be identified conclusively.  The
+    report's ``blocks`` are in the coordinates of the compressed program.
     """
-    bases, active, joint, reduced = _conclusive_data(ensemble, rank_tol)
-    if not active:
-        return _trivial_report(ensemble, tol, seed)
-
-    w = joint.shape[1]
-    blocks = [Block(f"x{i}", bases[i].shape[1]) for i in active] + [Block("slack", w)]
-    objective = {}
-    for i in active:
-        basis = bases[i]
-        objective[f"x{i}"] = ensemble.priors[i] * (basis.conj().T @ ensemble.states[i].matrix @ basis)
-
-    constraints = []
-    for f in hermitian_basis(w):
-        coeffs = {f"x{i}": reduced[i].conj().T @ f @ reduced[i] for i in active}
-        coeffs["slack"] = f
-        constraints.append(Constraint(coeffs, float(np.trace(f).real), "eq"))
-
-    program = ConicProgram(tuple(blocks), objective, tuple(constraints), sense="max")
-    report = solve(program, tol=tol, max_iter=max_iter, seed=seed)
-
     dims = ensemble.dims
-    elements = [None] * (ensemble.n + 1)
-    running = np.zeros((dims.total,) * 2, dtype=np.complex128)
-    for i in range(ensemble.n):
-        if i in active:
-            block = report.blocks[f"x{i}"]
-            vals, vecs = np.linalg.eigh((block + block.conj().T) / 2)
-            vals = np.maximum(vals, 0.0)
-            clipped = (vecs * vals) @ vecs.conj().T
-            mat = bases[i] @ clipped @ bases[i].conj().T
-        else:
-            mat = np.zeros((dims.total,) * 2, dtype=np.complex128)
-        running += mat
-        elements[i + 1] = HermitianOperator(mat, dims)
-    elements[0] = HermitianOperator(np.eye(dims.total) - running, dims)
-    measurement = Measurement(dims, tuple(elements), label="global-optimal")
+    lift, data = _conclusive_data(ensemble, rank_tol)
+    w = lift.shape[1]
+    report = _zero_report(ensemble, tol, seed)
+    if data:
+        blocks = [Block(f"x{i}", basis.shape[1]) for i, (basis, _, _) in data.items()] + [Block("slack", w)]
+        objective = {f"x{i}": target for i, (_, _, target) in data.items()}
+        terms = {f"x{i}": reduced for i, (_, reduced, _) in data.items()} | {"slack": 1.0}
+        program = ConicProgram(tuple(blocks), objective, tuple(_matrix_equality(np.eye(w), terms)), sense="max")
+        report = solve(program, tol=tol, max_iter=max_iter, seed=seed)
+
+    mats = [np.zeros((dims.total,) * 2, dtype=np.complex128) for _ in range(ensemble.n)]
+    value = 0.0
+    for i, (basis, _, _) in data.items():
+        block = report.blocks[f"x{i}"]
+        vals, vecs = np.linalg.eigh((block + block.conj().T) / 2)
+        clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+        mats[i] = basis @ clipped @ basis.conj().T
+        value += ensemble.priors[i] * float(np.tensordot(ensemble.states[i].matrix, mats[i].T, axes=2).real)
+    elements = [HermitianOperator(np.eye(dims.total) - sum(mats), dims)]
+    elements += [HermitianOperator(mat, dims) for mat in mats]
 
     cert_small = smat(report.multipliers, w)
-    certificate = HermitianOperator(joint @ cert_small @ joint.conj().T, dims)
-
-    value = 0.0
-    for i in range(ensemble.n):
-        value += ensemble.priors[i] * float(
-            np.tensordot(ensemble.states[i].matrix, elements[i + 1].matrix.T, axes=2).real
-        )
-
+    report.dual_certificate = HermitianOperator(lift @ cert_small @ lift.conj().T, dims)
+    report.measurement = Measurement(dims, tuple(elements), label="global-optimal")
     report.value = value
-    report.measurement = measurement
-    report.dual_certificate = certificate
-    report.never_conclusive = [i for i in range(ensemble.n) if i not in active]
+    report.never_conclusive = [i for i in range(ensemble.n) if i not in data]
     return report
 
 
@@ -138,27 +148,18 @@ def solve_global_certificate(
     its trace equals the optimal success probability.
     """
     dims = ensemble.dims
-    bases, active, joint, reduced = _conclusive_data(ensemble, rank_tol)
-    if not active:
+    lift, data = _conclusive_data(ensemble, rank_tol)
+    if not data:
         return HermitianOperator(np.zeros((dims.total,) * 2), dims), 0.0
 
-    w = joint.shape[1]
-    blocks = [Block("k", w)] + [Block(f"y{i}", bases[i].shape[1]) for i in active]
-    objective = {"k": np.eye(w, dtype=np.complex128)}
+    w = lift.shape[1]
+    blocks = [Block("k", w)] + [Block(f"y{i}", basis.shape[1]) for i, (basis, _, _) in data.items()]
     constraints = []
-    for i in active:
-        basis = bases[i]
-        target = ensemble.priors[i] * (basis.conj().T @ ensemble.states[i].matrix @ basis)
-        ci = reduced[i]
-        for f in hermitian_basis(basis.shape[1]):
-            coeffs = {"k": ci @ f @ ci.conj().T, f"y{i}": -f}
-            rhs = float(np.tensordot(f, target.T, axes=2).real)
-            constraints.append(Constraint(coeffs, rhs, "eq"))
-
-    program = ConicProgram(tuple(blocks), objective, tuple(constraints), sense="min")
+    for i, (_, reduced, target) in data.items():
+        constraints += _matrix_equality(target, {"k": reduced.conj().T, f"y{i}": -1.0})
+    program = ConicProgram(tuple(blocks), {"k": np.eye(w)}, tuple(constraints), sense="min")
     report = solve(program, tol=tol, max_iter=max_iter, seed=seed)
-    small = report.blocks["k"]
-    certificate = HermitianOperator(joint @ small @ joint.conj().T, dims)
+    certificate = HermitianOperator(lift @ report.blocks["k"] @ lift.conj().T, dims)
     return certificate, report.value
 
 
@@ -180,7 +181,8 @@ def solve_separable_bound(
     complementary-slackness certificate can confirm afterwards.  A state
     with an empty generator list falls back to the conservative full
     no-error dual constraint (compression PSD on its no-error subspace),
-    which keeps the bound valid.
+    which keeps the bound valid.  The report's ``blocks`` are in the
+    coordinates of the joint support of the generators.
     """
     if len(cones) != ensemble.n:
         raise ValueError(f"expected {ensemble.n} generator cones, got {len(cones)}")
@@ -189,32 +191,30 @@ def solve_separable_bound(
         if cone.dims != dims:
             raise ValueError(f"cone {k} dims {cone.dims.dims} do not match ensemble {dims.dims}")
 
-    blocks = [Block("h", dims.total)]
-    objective = {"h": np.eye(dims.total, dtype=np.complex128)}
+    fallback = {i: conclusive_subspace(ensemble, i, rank_tol) for i, cone in enumerate(cones) if not len(cone)}
+    generators = [[gen.matrix / np.linalg.norm(gen.matrix) for gen in cone.generators] for cone in cones]
+    cover = [g for gens in generators for g in gens] + [b @ b.conj().T for b in fallback.values()]
+    support, _ = _span(sum(cover, np.zeros((dims.total,) * 2)), rank_tol)
+    w = support.shape[1]
+    if not w:
+        return _zero_report(ensemble, tol, seed)
+
+    blocks = [Block("h", w)]
     constraints = []
-    for i, cone in enumerate(cones):
+    for i, gens in enumerate(generators):
         rho = ensemble.states[i].matrix
         prior = ensemble.priors[i]
-        if len(cone):
-            for gen in cone.generators:
-                g = gen.matrix / np.linalg.norm(gen.matrix)
-                rhs = prior * float(np.tensordot(rho, g.T, axes=2).real)
-                constraints.append(Constraint({"h": g}, rhs, "ge"))
-        else:
-            basis = conclusive_subspace(ensemble, i, rank_tol)
-            k = basis.shape[1]
-            if k == 0:
-                continue
-            blocks.append(Block(f"pos{i}", k))
+        for g in gens:
+            rhs = prior * float(np.tensordot(rho, g.T, axes=2).real)
+            constraints.append(Constraint({"h": support.conj().T @ g @ support}, rhs, "ge"))
+        basis = fallback.get(i)
+        if basis is not None and basis.shape[1]:
+            blocks.append(Block(f"pos{i}", basis.shape[1]))
             target = prior * (basis.conj().T @ rho @ basis)
-            for f in hermitian_basis(k):
-                coeffs = {"h": basis @ f @ basis.conj().T, f"pos{i}": -f}
-                rhs = float(np.tensordot(f, target.T, axes=2).real)
-                constraints.append(Constraint(coeffs, rhs, "eq"))
+            constraints += _matrix_equality(target, {"h": basis.conj().T @ support, f"pos{i}": -1.0})
 
-    program = ConicProgram(tuple(blocks), objective, tuple(constraints), sense="min")
+    program = ConicProgram(tuple(blocks), {"h": np.eye(w)}, tuple(constraints), sense="min")
     report = solve(program, tol=tol, max_iter=max_iter, seed=seed)
-    bound = HermitianOperator(report.blocks["h"], dims)
-    report.dual_certificate = bound
-    report.value = bound.trace
+    report.dual_certificate = HermitianOperator(support @ report.blocks["h"] @ support.conj().T, dims)
+    report.value = report.dual_certificate.trace
     return report

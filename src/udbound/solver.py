@@ -17,6 +17,7 @@ Euclidean dot product and the PSD cone stays self-dual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,24 +30,31 @@ from .operators import HermitianOperator
 _SQRT2 = math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _indices(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and upper-triangle (rows, cols) indices of a side x side matrix; shared, so read-only."""
+    out = (np.arange(side), *np.triu_indices(side, 1))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def svec(mat: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix; an isometry for Tr(AB)."""
-    side = mat.shape[0]
-    iu = np.triu_indices(side, 1)
-    off = mat[iu]
+    _, rows, cols = _indices(mat.shape[0])
+    off = mat[rows, cols]
     return np.concatenate([mat.diagonal().real, _SQRT2 * off.real, _SQRT2 * off.imag])
 
 
 def smat(vec: np.ndarray, side: int) -> np.ndarray:
     """Inverse of :func:`svec`."""
     out = np.zeros((side, side), dtype=np.complex128)
-    k = side * (side - 1) // 2
-    out[np.diag_indices(side)] = vec[:side]
-    if k:
-        iu = np.triu_indices(side, 1)
-        off = (vec[side : side + k] + 1j * vec[side + k :]) / _SQRT2
-        out[iu] = off
-        out[iu[1], iu[0]] = off.conj()
+    diag, rows, cols = _indices(side)
+    k = len(rows)
+    off = (vec[side : side + k] + 1j * vec[side + k :]) / _SQRT2
+    out[diag, diag] = vec[:side]
+    out[rows, cols] = off
+    out[cols, rows] = off.conj()
     return out
 
 
@@ -56,7 +64,7 @@ def hermitian_basis(side: int):
         f = np.zeros((side, side), dtype=np.complex128)
         f[a, a] = 1.0
         yield f
-    rows, cols = np.triu_indices(side, 1)
+    _, rows, cols = _indices(side)
     for a, b in zip(rows, cols):
         f = np.zeros((side, side), dtype=np.complex128)
         f[a, b] = 1.0 / _SQRT2
