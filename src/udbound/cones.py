@@ -22,8 +22,9 @@ from .ensembles import Ensemble
 from .jsonio import (
     SchemaError,
     dims_from_json,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
+    operator_from_json,
     read_json,
     write_json,
 )
@@ -362,25 +363,12 @@ def cones_from_dict(data, source: str = "cones") -> list[ConeGenerators]:
         gens = []
         forms = []
         for k, entry in enumerate(entries):
+            field = f"{source}.cones[{i}][{k}]"
             if not isinstance(entry, dict):
-                raise SchemaError(f"{source}.cones[{i}][{k}]: expected an object")
-            mat = matrix_from_json(entry.get("matrix"), f"{source}.cones[{i}][{k}].matrix")
-            try:
-                gens.append(HermitianOperator(mat, dims))
-            except ValueError as exc:
-                raise SchemaError(f"{source}.cones[{i}][{k}].matrix: {exc}") from exc
+                raise SchemaError(f"{field}: expected an object")
+            gens.append(operator_from_json(entry.get("matrix"), dims, f"{field}.matrix"))
             factors = entry.get("factors")
-            if factors is None:
-                forms.append(None)
-            else:
-                if not isinstance(factors, list):
-                    raise SchemaError(f"{source}.cones[{i}][{k}].factors: expected a list")
-                forms.append(
-                    tuple(
-                        matrix_from_json(f, f"{source}.cones[{i}][{k}].factors[{j}]")
-                        for j, f in enumerate(factors)
-                    )
-                )
+            forms.append(None if factors is None else matrices_from_json(factors, f"{field}.factors"))
         try:
             out.append(ConeGenerators(dims, tuple(gens), tuple(forms)))
         except ValueError as exc:

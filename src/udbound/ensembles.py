@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -21,8 +22,9 @@ import numpy as np
 from .jsonio import (
     SchemaError,
     dims_from_json,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
+    operator_from_json,
     read_json,
     write_json,
 )
@@ -123,10 +125,6 @@ class LoccProtocol:
         object.__setattr__(
             self, "assignment", {tuple(int(i) for i in k): int(v) for k, v in self.assignment.items()}
         )
-
-    def element_count(self) -> int:
-        highest = max(self.assignment.values(), default=0)
-        return max(highest, self.default_element) + 1
 
     def local_completeness_residuals(self) -> list[float]:
         out = []
@@ -231,7 +229,9 @@ def validate_ensemble(
     if abs(total - 1.0) > prior_tol:
         violations.append(Violation(f"priors sum {total:.12g}", abs(total - 1.0)))
     for k, (prior, rho) in enumerate(ensemble.items, start=1):
-        if prior <= 0:
+        if not math.isfinite(prior):
+            violations.append(Violation(f"prior {k} is {prior!r}, not finite", math.inf))
+        elif prior <= 0:
             violations.append(Violation(f"prior {k} is {prior:.12g}, not positive", -prior))
         lo = min_eigenvalue(rho)
         if lo < -state_tol:
@@ -530,15 +530,10 @@ def ensemble_from_dict(data: Any, source: str = "ensemble") -> Ensemble:
         if not isinstance(entry, dict):
             raise SchemaError(f"{source}.states[{k}]: expected an object")
         prior = entry.get("prior")
-        if not isinstance(prior, (int, float)):
-            raise SchemaError(f"{source}.states[{k}].prior: expected a number")
-        mat = matrix_from_json(entry.get("matrix"), f"{source}.states[{k}].matrix")
-        try:
-            op = HermitianOperator(mat, dims)
-        except ValueError as exc:
-            raise SchemaError(f"{source}.states[{k}].matrix: {exc}") from exc
+        if not isinstance(prior, (int, float)) or not abs(prior) <= sys.float_info.max:
+            raise SchemaError(f"{source}.states[{k}].prior: expected a finite number")
         priors.append(float(prior))
-        states.append(op)
+        states.append(operator_from_json(entry.get("matrix"), dims, f"{source}.states[{k}].matrix"))
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise SchemaError(f"{source}.label: expected a string")
@@ -564,17 +559,9 @@ def _decomposition_to_json(dec: SeparableDecomposition) -> dict:
 def _decomposition_from_json(data: Any, field_name: str) -> SeparableDecomposition:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise SchemaError(f"{field_name}: expected an object with a 'terms' list")
-    terms = []
-    for t, term in enumerate(data["terms"]):
-        if not isinstance(term, list) or not term:
-            raise SchemaError(f"{field_name}.terms[{t}]: expected a list of factors")
-        terms.append(
-            tuple(
-                matrix_from_json(f, f"{field_name}.terms[{t}][{k}]")
-                for k, f in enumerate(term)
-            )
-        )
-    return SeparableDecomposition(tuple(terms))
+    return SeparableDecomposition(
+        tuple(matrices_from_json(term, f"{field_name}.terms[{t}]") for t, term in enumerate(data["terms"]))
+    )
 
 
 def _protocol_to_json(protocol: LoccProtocol) -> dict:
@@ -593,16 +580,7 @@ def _protocol_from_json(data: Any, field_name: str) -> LoccProtocol:
     raw_povms = data.get("site_povms")
     if not isinstance(raw_povms, list) or not raw_povms:
         raise SchemaError(f"{field_name}.site_povms: expected a non-empty list")
-    povms = []
-    for k, povm in enumerate(raw_povms):
-        if not isinstance(povm, list) or not povm:
-            raise SchemaError(f"{field_name}.site_povms[{k}]: expected a non-empty list")
-        povms.append(
-            tuple(
-                matrix_from_json(el, f"{field_name}.site_povms[{k}][{e}]")
-                for e, el in enumerate(povm)
-            )
-        )
+    povms = [matrices_from_json(povm, f"{field_name}.site_povms[{k}]") for k, povm in enumerate(raw_povms)]
     assignment = {}
     for pair in data.get("assignment", []):
         if (
@@ -646,11 +624,7 @@ def measurement_from_dict(data: Any, source: str = "measurement") -> Measurement
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SchemaError(f"{source}.elements[{k}]: expected an object")
-        mat = matrix_from_json(entry.get("matrix"), f"{source}.elements[{k}].matrix")
-        try:
-            elements.append(HermitianOperator(mat, dims))
-        except ValueError as exc:
-            raise SchemaError(f"{source}.elements[{k}].matrix: {exc}") from exc
+        elements.append(operator_from_json(entry.get("matrix"), dims, f"{source}.elements[{k}].matrix"))
         dec = entry.get("decomposition")
         decompositions.append(
             None if dec is None else _decomposition_from_json(dec, f"{source}.elements[{k}].decomposition")

@@ -1,8 +1,10 @@
 """JSON codecs shared by the file formats.
 
-Complex matrices are stored as nested rows of [re, im] pairs; floats go
-through Python's repr, so a save/load round trip is exact at double
-precision.
+Complex matrices are stored as nested rows of [re, im] pairs of finite
+numbers; floats go through Python's repr, so a save/load round trip is
+exact at double precision.  This module alone maps that wire format to
+arrays and validated operators; the other file formats decode their
+matrices through ``operator_from_json`` and ``matrices_from_json``.
 """
 
 from __future__ import annotations
@@ -22,26 +24,38 @@ class SchemaError(ValueError):
 
 def matrix_to_json(mat: np.ndarray) -> list:
     mat = np.asarray(mat, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
 def matrix_from_json(data: Any, field: str) -> np.ndarray:
+    """Decode a square matrix of finite [re, im] pairs.
+
+    The array is built without a target dtype, so strings, nulls and
+    out-of-range integers give a non-numeric dtype and are rejected rather
+    than coerced; ragged rows fail the conversion or the shape check.
+    """
+    try:
+        arr = np.array(data)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    side = len(arr) if arr.ndim else 0
+    if arr.shape != (side, side, 2) or arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        raise SchemaError(f"{field}: expected a non-empty square list of rows of finite [re, im] pairs")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(side, side)
+
+
+def matrices_from_json(data: Any, field: str) -> tuple[np.ndarray, ...]:
     if not isinstance(data, list) or not data:
-        raise SchemaError(f"{field}: expected a non-empty list of rows")
-    side = len(data)
-    out = np.empty((side, side), dtype=np.complex128)
-    for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != side:
-            raise SchemaError(f"{field}[{r}]: expected a row of {side} entries")
-        for c, cell in enumerate(row):
-            if (
-                not isinstance(cell, (list, tuple))
-                or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
-            ):
-                raise SchemaError(f"{field}[{r}][{c}]: expected an [re, im] pair")
-            out[r, c] = complex(cell[0], cell[1])
-    return out
+        raise SchemaError(f"{field}: expected a non-empty list of matrices")
+    return tuple(matrix_from_json(m, f"{field}[{k}]") for k, m in enumerate(data))
+
+
+def operator_from_json(data: Any, dims: DimVector, field: str) -> HermitianOperator:
+    mat = matrix_from_json(data, field)
+    try:
+        return HermitianOperator(mat, dims)
+    except ValueError as exc:
+        raise SchemaError(f"{field}: {exc}") from exc
 
 
 def dims_from_json(data: Any, field: str = "dims") -> DimVector:
@@ -58,11 +72,7 @@ def operator_from_dict(data: Any, field: str = "operator") -> HermitianOperator:
     if not isinstance(data, dict):
         raise SchemaError(f"{field}: expected an object")
     dims = dims_from_json(data.get("dims"), f"{field}.dims")
-    mat = matrix_from_json(data.get("matrix"), f"{field}.matrix")
-    try:
-        return HermitianOperator(mat, dims)
-    except ValueError as exc:
-        raise SchemaError(f"{field}: {exc}") from exc
+    return operator_from_json(data.get("matrix"), dims, f"{field}.matrix")
 
 
 def write_json(path: Union[str, Path], payload: dict) -> None:

@@ -1,9 +1,8 @@
 """Dense complex Hermitian linear algebra on multipartite spaces.
 
-Operators carry their local-dimension signature, constructors symmetrize
-and record the Hermiticity deviation, and eigendecompositions use a fixed
-ordering and phase convention so that downstream reports are reproducible.
-All values are immutable; every function here is pure.
+Operators carry their local-dimension signature, and constructors
+symmetrize and record the Hermiticity deviation.  All values are
+immutable; every function here is pure.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ PSD_TOL = 1e-9
 RANK_TOL = 1e-9
 
 _ORTHONORMAL_TOL = 1e-10
-_PHASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -182,18 +180,6 @@ def basis_state(dims: Union[DimVector, Sequence[int]], indices: Sequence[int]) -
     return StateVector(amp, dims)
 
 
-def product_state(factors: Sequence[StateVector]) -> StateVector:
-    """Tensor product of local state vectors, first factor slowest."""
-    if not factors:
-        raise ValueError("no factors")
-    amp = np.ones(1, dtype=np.complex128)
-    dims: list[int] = []
-    for f in factors:
-        amp = np.kron(amp, f.amplitudes)
-        dims.extend(f.dims.dims)
-    return StateVector(amp, DimVector(tuple(dims)))
-
-
 def identity(dims: Union[DimVector, Sequence[int]]) -> HermitianOperator:
     dims = _as_dims(dims)
     return HermitianOperator(np.eye(dims.total, dtype=np.complex128), dims)
@@ -281,25 +267,6 @@ def partial_transpose(
     return out
 
 
-def eig_hermitian(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with descending eigenvalues and phase-fixed vectors.
-
-    Each eigenvector is rotated so its first component above the phase
-    threshold is real and positive, which makes repeated runs bit-identical.
-    """
-    w, v = np.linalg.eigh(op.matrix)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for col in range(v.shape[1]):
-        vec = v[:, col]
-        mags = np.abs(vec)
-        lead = np.argmax(mags > max(_PHASE_TOL, 1e-8 * mags.max()))
-        pivot = vec[lead]
-        if abs(pivot) > 0:
-            vec *= pivot.conjugate() / abs(pivot)
-    return w, v
-
-
 def min_eigenvalue(op: Union[HermitianOperator, np.ndarray]) -> float:
     mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
     mat = (mat + mat.conj().T) / 2
@@ -309,15 +276,6 @@ def min_eigenvalue(op: Union[HermitianOperator, np.ndarray]) -> float:
 def is_psd(op: Union[HermitianOperator, np.ndarray], tol: float = PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol."""
     return min_eigenvalue(op) >= -tol
-
-
-def support_projector(op: HermitianOperator, rank_tol: float = RANK_TOL) -> HermitianOperator:
-    """Orthogonal projector onto the span of eigenvectors above ``rank_tol``."""
-    w, v = eig_hermitian(op)
-    if w[-1] < -rank_tol:
-        raise ValueError("support undefined for indefinite operator")
-    cols = v[:, w > rank_tol]
-    return HermitianOperator(cols @ cols.conj().T, op.dims)
 
 
 def compress(op: HermitianOperator, basis: np.ndarray) -> HermitianOperator:

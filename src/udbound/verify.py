@@ -54,7 +54,7 @@ class VerificationReport:
 
     @property
     def failing(self) -> list[str]:
-        return sorted(k for k, v in self.residuals.items() if v > self.tolerance)
+        return sorted(k for k, v in self.residuals.items() if not v <= self.tolerance)
 
     @property
     def passed(self) -> bool:
@@ -159,7 +159,7 @@ def _require_decompositions(measurement: Measurement, tol: float) -> None:
             raise PrecheckError(f"separability not certified: element {k} has no decomposition")
         scale = max(1.0, float(np.abs(measurement.elements[k].matrix).max()))
         res = dec.residual(measurement.elements[k])
-        if res > max(tol, 1e-9) * scale:
+        if not res <= max(tol, 1e-9) * scale:
             raise PrecheckError(
                 f"separability not certified: element {k} decomposition off by {res:.3e}"
             )

@@ -1,0 +1,228 @@
+"""The matrix wire format: pinned bytes, exact round trips, rejected inputs."""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from udbound import (
+    Ensemble,
+    Measurement,
+    PrecheckError,
+    SchemaError,
+    SeparableDecomposition,
+    VerificationReport,
+    build_example1,
+    example_cone_generators,
+    validate_ensemble,
+    verify_separable_certificate,
+)
+from udbound.cli import main
+from udbound.jsonio import matrix_from_json, matrix_to_json
+
+# sha256 of the files written by `udbound example1` and `udbound example2 --d 3`.
+# The fixtures are closed forms (outer and Kronecker products of exact
+# vectors), so these bytes do not depend on the BLAS/LAPACK build.
+WRITTEN_SHA256 = {
+    "example1": {
+        "example1_certificate_global.json": "666a516171ad5ecdb97e1426940e14a76e6fc7c3e5ea20452d3b7317140badbd",
+        "example1_certificate_sep.json": "1ffc2d7c18ec825e1303fd332a4fb1991f0e657d0b2bc4dbabc2257872d9c439",
+        "example1_cones.json": "bedc140bfcf56013ec5e448f565ceb0d7b1a4965ecc247da12dfe172c5add1bc",
+        "example1_ensemble.json": "9140a24a384d5f155abd675566e286ffe922c9b3f6feecb357b2a5b702dab6b7",
+        "example1_measurement_global.json": "ca98325b7ad809319c482e2222fcc9580bc228d595b9035b4b4b7c465c8e63ac",
+        "example1_measurement_locc.json": "ad63ba5145929c693ac126a5d20eaf0dcb1b4dac64ef737b1eafc61a80c7109c",
+    },
+    "example2_d3": {
+        "example2_d3_certificate_global.json": "d87fb16a6a0454067e15ea75fb2ca25aa5318371df6ec8030727a8f2585706b3",
+        "example2_d3_certificate_sep.json": "037d32906ee959d275807f3748be2ec1cacbb40baae05ae10a57fbd1e6d71a79",
+        "example2_d3_cones.json": "2c10ce980ec04c005da2847912761ab74ab7abda7eb5a4cecd86c3f92079a8a6",
+        "example2_d3_ensemble.json": "1a93d86f4a0f390223cb71b791d7f1e134d7619ddd2fd23b841024304c8e8726",
+        "example2_d3_measurement_global.json": "bb57bb2a21dcbc00e8d8af6ee1361f7712dd2a02d3e73800c5cad90af0355cb7",
+        "example2_d3_measurement_locc.json": "aa68016a53dc3457813e47f66b72783b736c77cc562bdf0ee94d4b9ca691f3e0",
+    },
+}
+
+EXAMPLE_ARGS = {"example1": ["example1"], "example2_d3": ["example2", "--d", "3"]}
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize("name", sorted(WRITTEN_SHA256))
+    def test_example_files_match_pinned_hashes(self, name, tmp_path):
+        assert main([*EXAMPLE_ARGS[name], "--out", str(tmp_path)]) == 0
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.json")
+        }
+        assert written == WRITTEN_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# codec properties
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1.79e308, -1.79e308]
+
+
+@st.composite
+def complex_matrices(draw, max_side=4):
+    side = draw(st.integers(1, max_side))
+    parts = draw(st.lists(FINITE, min_size=2 * side * side, max_size=2 * side * side))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(side, side)
+
+
+def _bits(mat):
+    return np.ascontiguousarray(mat).view(np.uint64)
+
+
+def _reference_to_json(mat):
+    """The per-cell encoder the vectorised one must match byte for byte."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
+
+
+class TestCodecProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(complex_matrices())
+    @example(np.array([[complex(a, b) for b in EDGE] for a in EDGE], dtype=np.complex128))
+    def test_round_trip_is_bit_exact(self, mat):
+        text = json.dumps(matrix_to_json(mat))
+        assert text == json.dumps(_reference_to_json(mat))
+        back = matrix_from_json(json.loads(text), "m")
+        assert back.shape == mat.shape
+        assert np.array_equal(_bits(back), _bits(mat))
+
+    BAD_CELLS = {
+        "string": lambda re, im: [str(re), im],
+        "null": lambda re, im: [re, None],
+        "nan": lambda re, im: [math.nan, im],
+        "infinity": lambda re, im: [re, math.inf],
+        "-infinity": lambda re, im: [-math.inf, im],
+        "overflowing int": lambda re, im: [10**400, im],
+        "short pair": lambda re, im: [re],
+        "long pair": lambda re, im: [re, im, 0.0],
+        "bare number": lambda re, im: re,
+    }
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(complex_matrices(), st.sampled_from(sorted(BAD_CELLS)), st.data())
+    def test_malformed_entries_are_schema_errors(self, mat, kind, data):
+        payload = matrix_to_json(mat)
+        side = len(payload)
+        r = data.draw(st.integers(0, side - 1))
+        c = data.draw(st.integers(0, side - 1))
+        payload[r][c] = self.BAD_CELLS[kind](*payload[r][c])
+        with pytest.raises(SchemaError, match=r"^m: "):
+            matrix_from_json(payload, "m")
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(complex_matrices(), st.data())
+    def test_ragged_and_non_square_rows_are_schema_errors(self, mat, data):
+        payload = matrix_to_json(mat)
+        r = data.draw(st.integers(0, len(payload) - 1))
+        if data.draw(st.booleans()):
+            payload[r].pop()
+        else:
+            payload[r].append([0.0, 0.0])
+        with pytest.raises(SchemaError):
+            matrix_from_json(payload, "m")
+
+    @pytest.mark.parametrize("data", [None, [], [[]], "[[[1, 0]]]", {"re": 1}, [[[1, 0]], [[0, 1]]], 3.0])
+    def test_non_matrix_values_are_schema_errors(self, data):
+        with pytest.raises(SchemaError):
+            matrix_from_json(data, "m")
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs exit 2 instead of passing or crashing
+
+
+@pytest.fixture()
+def example1_dir(tmp_path):
+    assert main(["example1", "--out", str(tmp_path)]) == 0
+    return tmp_path
+
+
+def _rewrite(path, change):
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _verify(kind, d):
+    args = [
+        "verify",
+        kind,
+        "--ensemble",
+        str(d / "example1_ensemble.json"),
+        "--measurement",
+        str(d / ("example1_measurement_global.json" if kind == "prop1" else "example1_measurement_locc.json")),
+        "--certificate",
+        str(d / ("example1_certificate_global.json" if kind == "prop1" else "example1_certificate_sep.json")),
+    ]
+    if kind != "prop1":
+        args += ["--cones", str(d / "example1_cones.json")]
+    return main(args)
+
+
+class TestNonFiniteInputs:
+    def test_nan_prior(self, example1_dir, capsys):
+        def nan_prior(p):
+            p["states"][0]["prior"] = math.nan
+
+        _rewrite(example1_dir / "example1_ensemble.json", nan_prior)
+        assert _verify("prop1", example1_dir) == 2
+        assert "states[0].prior" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["thm3", "cor3"])
+    def test_nan_decomposition_factor(self, example1_dir, kind, capsys):
+        def nan_factor(p):
+            p["elements"][1]["decomposition"]["terms"][0][0][0][0][0] = math.nan
+
+        _rewrite(example1_dir / "example1_measurement_locc.json", nan_factor)
+        assert _verify(kind, example1_dir) == 2
+        assert "elements[1].decomposition.terms[0][0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, matrix",
+        [
+            ("example1_ensemble.json", lambda p: p["states"][0]["matrix"]),
+            ("example1_measurement_global.json", lambda p: p["elements"][0]["matrix"]),
+            ("example1_certificate_global.json", lambda p: p["matrix"]),
+        ],
+    )
+    def test_overflowing_matrix_entry(self, example1_dir, name, matrix, capsys):
+        def overflow(p):
+            matrix(p)[0][0][0] = 10**400
+
+        _rewrite(example1_dir / name, overflow)
+        assert _verify("prop1", example1_dir) == 2
+        assert "finite [re, im] pairs" in capsys.readouterr().err
+
+    def test_nan_factor_fails_the_separability_precheck(self):
+        ensemble, fixtures = build_example1()
+        cones = [example_cone_generators(ensemble, "example1", i) for i in range(ensemble.n)]
+        locc = fixtures.locc_measurement
+        decompositions = locc.locc_protocol.derive_decompositions(locc.dims, len(locc.elements))
+        factors = [np.array(f) for f in decompositions[1].terms[0]]
+        factors[0][0, 0] = math.nan
+        broken = SeparableDecomposition((tuple(factors), *decompositions[1].terms[1:]))
+        measurement = Measurement(
+            locc.dims,
+            locc.elements,
+            decompositions=(decompositions[0], broken, *decompositions[2:]),
+        )
+        with pytest.raises(PrecheckError, match="element 1"):
+            verify_separable_certificate(ensemble, measurement, fixtures.sep_certificate, cones)
+
+    def test_validate_ensemble_rejects_non_finite_priors(self):
+        ensemble, _ = build_example1()
+        for bad in (math.nan, math.inf):
+            priors = (bad, *ensemble.priors[1:])
+            report = validate_ensemble(Ensemble(ensemble.dims, priors, ensemble.states))
+            assert not report.ok and "prior 1" in str(report)
+
+    def test_nan_residual_fails_the_report(self):
+        report = VerificationReport(tolerance=1e-8, residuals={"7a": 0.0, "7d": math.nan})
+        assert report.failing == ["7d"] and not report.passed

@@ -11,12 +11,10 @@ from udbound import (
     build_example1,
     build_example2,
     compress,
-    eig_hermitian,
     hs_inner,
     identity,
     is_psd,
     partial_trace,
-    support_projector,
     tensor,
 )
 from helpers import random_hermitian, random_psd
@@ -150,40 +148,6 @@ class TestPartialTrace:
         assert np.abs(reduced - expect).max() < 1e-14
 
 
-class TestEig:
-    def test_identity(self):
-        w, _ = eig_hermitian(identity((2,)))
-        assert np.allclose(w, [1.0, 1.0])
-
-    def test_rank_one_projector(self):
-        w, _ = eig_hermitian(proj_op(PSI_M, (2, 2)))
-        assert np.allclose(w, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
-
-    def test_shifted_projector_spectrum(self):
-        op = proj_op(PSI_M, (2, 2)) - 0.5 * identity((2, 2))
-        w, _ = eig_hermitian(op)
-        assert np.allclose(w, [0.5, -0.5, -0.5, -0.5], atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            op = random_hermitian(rng, (2, 3))
-            w, v = eig_hermitian(op)
-            rebuilt = (v * w) @ v.conj().T
-            assert np.abs(rebuilt - op.matrix).max() <= 1e-10 * np.abs(op.matrix).max()
-
-    def test_phase_fix_is_deterministic(self):
-        rng = np.random.default_rng(13)
-        op = random_hermitian(rng, (2, 2))
-        w1, v1 = eig_hermitian(op)
-        w2, v2 = eig_hermitian(op)
-        assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
-        for col in range(v1.shape[1]):
-            lead = v1[np.argmax(np.abs(v1[:, col]) > 1e-8), col]
-            assert lead.imag == pytest.approx(0.0, abs=1e-12)
-            assert lead.real > 0
-
-
 class TestIsPsd:
     def test_identity(self):
         assert is_psd(identity((2, 2)), 1e-9)
@@ -194,32 +158,6 @@ class TestIsPsd:
     def test_example1_certificate(self):
         _, fixtures = build_example1()
         assert is_psd(fixtures.global_certificate, 1e-9)
-
-
-class TestSupportProjector:
-    def test_full_rank(self):
-        assert np.allclose(support_projector(identity((2, 2))).matrix, np.eye(4))
-
-    def test_rank_one(self):
-        op = proj_op([1, 0], (2,))
-        assert np.allclose(support_projector(op).matrix, op.matrix)
-
-    def test_qudit_family_state_rank(self):
-        ensemble, _ = build_example2(3)
-        proj = support_projector(ensemble.states[0])
-        assert proj.trace == pytest.approx(5.0, abs=1e-9)
-
-    def test_projector_reproduces_operator(self):
-        rng = np.random.default_rng(14)
-        for _ in range(10):
-            op = random_psd(rng, (2, 2), rank=2)
-            p = support_projector(op).matrix
-            assert np.abs(p @ op.matrix @ p - op.matrix).max() <= 1e-9 * np.abs(op.matrix).max()
-
-    def test_indefinite_errors(self):
-        op = proj_op(PSI_M, (2, 2)) - 0.5 * identity((2, 2))
-        with pytest.raises(ValueError, match="support undefined"):
-            support_projector(op)
 
 
 class TestCompress:
