@@ -10,7 +10,6 @@ seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from .ensembles import (
     save_ensemble,
     save_measurement,
 )
-from .jsonio import SchemaError, load_certificate, save_certificate, write_json
+from .jsonio import SchemaError, dumps, load_certificate, save_certificate, write_json
 from .programs import solve_global, solve_separable_bound
 from .verify import (
     PrecheckError,
@@ -58,7 +57,7 @@ def _emit(payload: dict, fmt: str, out: str | None, text_lines: list[str]) -> No
     if out:
         write_json(out, payload)
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -107,7 +106,7 @@ def _cmd_example(args) -> int:
     ]
     lines += [f"wrote {p}" for p in paths.values()]
     if args.format == "json":
-        print(json.dumps({k: str(p) for k, p in paths.items()}, indent=2, sort_keys=True))
+        print(dumps({k: str(p) for k, p in paths.items()}))
     else:
         for line in lines:
             print(line)

@@ -67,7 +67,7 @@ class ConeGenerators:
                 raise ValueError(f"generator {k} has dims {gen.dims.dims}, expected {self.dims.dims}")
             scale = max(1.0, float(np.abs(gen.matrix).max()))
             lo = min_eigenvalue(gen)
-            if lo < -PSD_TOL * scale:
+            if not lo >= -PSD_TOL * scale:
                 raise ValueError(f"generator {k} not PSD (min eigenvalue {lo:.3e})")
             if form is None:
                 frozen_forms.append(None)
@@ -78,7 +78,7 @@ class ConeGenerators:
             prod = np.ones((1, 1), dtype=np.complex128)
             for f in factors:
                 f.setflags(write=False)
-                if min_eigenvalue(f) < -PSD_TOL * max(1.0, float(np.abs(f).max())):
+                if not min_eigenvalue(f) >= -PSD_TOL * max(1.0, float(np.abs(f).max())):
                     raise ValueError(f"generator {k} has a non-PSD local factor")
                 prod = np.kron(prod, f)
             if np.abs(prod - gen.matrix).max() > 1e-10 * scale:

@@ -34,6 +34,8 @@ from .operators import (
     HermitianOperator,
     StateVector,
     min_eigenvalue,
+    nan_max,
+    psd_violation,
 )
 
 _SQ3 = math.sqrt(3.0)
@@ -94,10 +96,7 @@ class SeparableDecomposition:
     def residual(self, op: HermitianOperator) -> float:
         """Max of the reconstruction error and any factor's PSD violation."""
         worst = float(np.abs(self.reconstruct(op.dims) - op.matrix).max())
-        for term in self.terms:
-            for f in term:
-                worst = max(worst, max(0.0, -min_eigenvalue(f)))
-        return worst
+        return nan_max([worst, *(psd_violation(f) for term in self.terms for f in term)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +193,7 @@ class Measurement:
         return float(np.abs(total - np.eye(self.dims.total)).max())
 
     def psd_residual(self) -> float:
-        return max(max(0.0, -min_eigenvalue(el)) for el in self.elements)
+        return nan_max(psd_violation(el) for el in self.elements)
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,7 @@ def validate_ensemble(
         elif prior <= 0:
             violations.append(Violation(f"prior {k} is {prior:.12g}, not positive", -prior))
         lo = min_eigenvalue(rho)
-        if lo < -state_tol:
+        if not lo >= -state_tol:
             violations.append(Violation(f"state {k} not PSD (min eigenvalue {lo:.3e})", -lo))
         tr = rho.trace
         if abs(tr - 1.0) > state_tol:
@@ -245,16 +244,16 @@ def validate_ensemble(
 def validate_measurement(measurement: Measurement, tol: float = PSD_TOL) -> ValidationReport:
     violations: list[Violation] = []
     neg = measurement.psd_residual()
-    if neg > tol:
+    if not neg <= tol:
         violations.append(Violation(f"element not PSD (violation {neg:.3e})", neg))
     comp = measurement.completeness_residual()
-    if comp > tol:
+    if not comp <= tol:
         violations.append(Violation(f"elements do not sum to identity (residual {comp:.3e})", comp))
     for k, dec in enumerate(measurement.decompositions):
         if dec is None:
             continue
         res = dec.residual(measurement.elements[k])
-        if res > tol:
+        if not res <= tol:
             violations.append(Violation(f"decomposition of element {k} off by {res:.3e}", res))
     return ValidationReport(tuple(violations))
 

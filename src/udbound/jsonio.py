@@ -5,10 +5,16 @@ numbers; floats go through Python's repr, so a save/load round trip is
 exact at double precision.  This module alone maps that wire format to
 arrays and validated operators; the other file formats decode their
 matrices through ``operator_from_json`` and ``matrices_from_json``.
+
+Every JSON text the package writes comes from ``dumps``, which reproduces
+``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte.  With an
+indent the stdlib runs its pure-Python encoder; ``dumps`` instead encodes
+each number list once with the C encoder and re-indents the compact text.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 from typing import Any, Union
@@ -75,16 +81,106 @@ def operator_from_dict(data: Any, field: str = "operator") -> HermitianOperator:
     return operator_from_json(data.get("matrix"), dims, f"{field}.matrix")
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def dumps(obj: Any) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``."""
+    parts: list[str] = []
+    _write(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(obj: Any, newline: str, out) -> None:
+    """Append the indented text of obj; ``newline`` is "\\n" plus its indent."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = _encode(key)
+            out(sep + _encode(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        text = _reindent(obj, newline)
+        if text is not None:
+            out(text)
+            return
+        sep = "[" + inner
+        for item in obj:
+            out(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    else:
+        out(_encode(obj))
+
+
+def _reindent(obj: Union[list, tuple], newline: str) -> Union[str, None]:
+    """The indented text of a list nested to a uniform depth, else None.
+
+    The compact text of such a list has k opening brackets, k closing ones,
+    and between siblings j levels up exactly ``"]"*j + ", " + "["*j``; each
+    becomes its indented form, deepest first since a shallower separator
+    is a substring of a deeper one.  Strings (which may hold brackets or
+    ", "), empty lists (printed "[]") and ragged depth leave a bracket or
+    quote behind and fall back to the walk.
+    """
+    first = obj
+    while isinstance(first, (list, tuple)) and first:
+        first = first[0]
+    if isinstance(first, (str, dict)):
+        return None
+    text = _encode(obj)
+    k = len(text) - len(text.lstrip("["))
+    if '"' in text or "[]" in text or not text.endswith("]" * k):
+        return None
+    pad = [newline + "  " * t for t in range(k + 1)]
+    body = text[k:-k]
+    # every bracket left inside must belong to a replaced separator
+    unmatched = body.count("[") + body.count("]")
+    for j in range(k - 1, 0, -1):
+        sep = "]" * j + ", " + "[" * j
+        unmatched -= 2 * j * body.count(sep)
+        closes = "".join(pad[t] + "]" for t in range(k - 1, k - j - 1, -1))
+        opens = "".join(pad[t] + "[" for t in range(k - j, k))
+        body = body.replace(sep, closes + "," + opens + pad[k])
+    if unmatched:
+        return None
+    body = body.replace(", ", "," + pad[k])
+    head = "".join("[" + pad[t] for t in range(1, k + 1))
+    tail = "".join(pad[t] + "]" for t in range(k - 1, -1, -1))
+    return head + body + tail
+
+
 def write_json(path: Union[str, Path], payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
 
 
 def read_json(path: Union[str, Path]) -> Any:
+    text = Path(path).read_text(encoding="utf-8")
+    # The parse builds an acyclic tree of one list per [re, im] pair, so a
+    # cyclic collection during it frees nothing and only re-traverses the
+    # growing tree; pause the collector, restoring the caller's setting.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_certificate(op: HermitianOperator, path: Union[str, Path]) -> None:

@@ -268,9 +268,27 @@ def partial_transpose(
 
 
 def min_eigenvalue(op: Union[HermitianOperator, np.ndarray]) -> float:
+    """Smallest eigenvalue of the Hermitian part; NaN if an entry is not finite.
+
+    LAPACK does not propagate NaN: eigvalsh of [[nan, 0], [0, 1]] returns
+    [0, -0], which would read as PSD.
+    """
     mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
+    if not np.isfinite(mat).all():
+        return math.nan
     mat = (mat + mat.conj().T) / 2
     return float(np.linalg.eigvalsh(mat)[0])
+
+
+def nan_max(values: Iterable[float]) -> float:
+    """The largest value; NaN if any is NaN (the builtin max drops a NaN after the first place)."""
+    vals = list(values)
+    return math.nan if any(math.isnan(v) for v in vals) else max(vals)
+
+
+def psd_violation(op: Union[HermitianOperator, np.ndarray]) -> float:
+    """max(0, -smallest eigenvalue); NaN for a non-finite operator, so it fails ``<= tol``."""
+    return nan_max((0.0, -min_eigenvalue(op)))
 
 
 def is_psd(op: Union[HermitianOperator, np.ndarray], tol: float = PSD_TOL) -> bool:

@@ -27,7 +27,9 @@ from .operators import (
     RANK_TOL,
     hs_inner,
     min_eigenvalue,
+    nan_max,
     partial_transpose,
+    psd_violation,
 )
 from .programs import solve_global, solve_separable_bound
 from .solver import SolveReport
@@ -87,19 +89,16 @@ def check_no_error(ensemble: Ensemble, measurement: Measurement, tol: float = 1e
             f"measurement has {len(measurement.elements)} elements, expected {ensemble.n + 1}"
         )
     detail: dict[str, float] = {}
-    worst = 0.0
     for i, rho in enumerate(ensemble.states):
         for j in range(ensemble.n):
-            if i == j:
-                continue
-            r = abs(hs_inner(rho, measurement.elements[j + 1]))
-            detail[f"i={i + 1},j={j + 1}"] = r
-            worst = max(worst, r)
+            if i != j:
+                detail[f"i={i + 1},j={j + 1}"] = abs(hs_inner(rho, measurement.elements[j + 1]))
+    worst = nan_max([0.0, *detail.values()])
     return VerificationReport(tolerance=tol, residuals={"3": worst}, details={"3": detail})
 
 
 def _completeness_residual(measurement: Measurement) -> float:
-    return max(measurement.completeness_residual(), measurement.psd_residual())
+    return nan_max((measurement.completeness_residual(), measurement.psd_residual()))
 
 
 def _precheck(ensemble: Ensemble, measurement: Measurement, tol: float) -> None:
@@ -109,7 +108,7 @@ def _precheck(ensemble: Ensemble, measurement: Measurement, tol: float) -> None:
             f"no-error precheck failed (worst residual {report.residuals['3']:.3e})"
         )
     comp = _completeness_residual(measurement)
-    if comp > tol:
+    if not comp <= tol:
         raise PrecheckError(f"POVM completeness precheck failed (residual {comp:.3e})")
 
 
@@ -130,20 +129,20 @@ def verify_optimality(
     certificate trace within the reported residuals.
     """
     _precheck(ensemble, measurement, tol)
-    res_a = max(0.0, -min_eigenvalue(certificate))
+    res_a = psd_violation(certificate)
     res_b = abs(hs_inner(measurement.elements[0], certificate))
     detail_c: dict[str, float] = {}
     detail_d: dict[str, float] = {}
     for i, (prior, rho) in enumerate(ensemble.items):
         shifted = certificate - prior * rho
         _, lo = in_conclusive_dual(shifted, ensemble, i, tol, rank_tol)
-        detail_c[f"i={i + 1}"] = max(0.0, -lo)
+        detail_c[f"i={i + 1}"] = nan_max((0.0, -lo))
         detail_d[f"i={i + 1}"] = abs(hs_inner(measurement.elements[i + 1], shifted))
     residuals = {
         "7a": res_a,
         "7b": res_b,
-        "7c": max(detail_c.values()),
-        "7d": max(detail_d.values()),
+        "7c": nan_max(detail_c.values()),
+        "7d": nan_max(detail_d.values()),
     }
     return VerificationReport(
         tolerance=tol,
@@ -173,8 +172,8 @@ def _sep_dual_entry(certificate: HermitianOperator, tol: float):
     the condition is reported as unverified rather than failed.
     """
     lo = min_eigenvalue(certificate)
-    if lo >= -tol:
-        return max(0.0, -lo), None, {}
+    if not lo < -tol:  # PSD within tol, or NaN: a failing residual, not an unverified one
+        return nan_max((0.0, -lo)), None, {}
     cut_detail = {"psd": lo}
     for cut in _canonical_cuts(certificate.dims.sites):
         lo_cut = min_eigenvalue(partial_transpose(certificate, cut))
@@ -225,13 +224,13 @@ def verify_separable_certificate(
     for i, (prior, rho) in enumerate(ensemble.items):
         shifted = certificate - prior * rho
         _, worst = in_generated_dual(shifted, cones[i], tol)
-        detail_b[f"i={i + 1}"] = max(0.0, -worst)
+        detail_b[f"i={i + 1}"] = nan_max((0.0, -worst))
         detail_d[f"i={i + 1}"] = abs(hs_inner(measurement.elements[i + 1], shifted))
     residuals = {
         "14a": res_a,
-        "14b": max(detail_b.values()),
+        "14b": nan_max(detail_b.values()),
         "16a": abs(hs_inner(measurement.elements[0], certificate)),
-        "16b": max(detail_d.values()),
+        "16b": nan_max(detail_d.values()),
     }
     details["14b"] = detail_b
     details["16b"] = detail_d
@@ -252,12 +251,12 @@ def _protocol_residual(measurement: Measurement, tol: float) -> float:
     if len(protocol.site_povms) != measurement.dims.sites:
         raise ProtocolError("protocol site count does not match the space")
     for k, resid in enumerate(protocol.local_completeness_residuals()):
-        if resid > tol:
+        if not resid <= tol:
             raise ProtocolError(f"local POVM at site {k} incomplete (residual {resid:.3e})")
     for k, povm in enumerate(protocol.site_povms):
         for e, el in enumerate(povm):
             lo = min_eigenvalue(el)
-            if lo < -tol:
+            if not lo >= -tol:
                 raise ProtocolError(
                     f"local POVM element {e} at site {k} not PSD (min eigenvalue {lo:.3e})"
                 )
@@ -265,7 +264,7 @@ def _protocol_residual(measurement: Measurement, tol: float) -> float:
     worst = 0.0
     for k, el in enumerate(measurement.elements):
         diff = float(np.abs(rebuilt[k] - el.matrix).max())
-        if diff > max(tol, 1e-9) * max(1.0, float(np.abs(el.matrix).max())):
+        if not diff <= max(tol, 1e-9) * max(1.0, float(np.abs(el.matrix).max())):
             raise ProtocolError(
                 f"protocol does not reproduce element {k} (entrywise residual {diff:.3e})"
             )

@@ -1,5 +1,6 @@
-"""The matrix wire format: pinned bytes, exact round trips, rejected inputs."""
+"""The JSON formats: pinned bytes, the writer, exact round trips, rejected inputs."""
 
+import gc
 import hashlib
 import json
 import math
@@ -10,21 +11,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udbound import (
+    DimVector,
     Ensemble,
+    HermitianOperator,
     Measurement,
     PrecheckError,
     SchemaError,
     SeparableDecomposition,
     VerificationReport,
     build_example1,
+    build_example2,
     example_cone_generators,
+    load_certificate,
+    load_measurement,
+    solve_global,
     validate_ensemble,
+    verify_optimality,
     verify_separable_certificate,
 )
 from udbound.cli import main
-from udbound.jsonio import matrix_from_json, matrix_to_json
+from udbound.jsonio import dumps, matrix_from_json, matrix_to_json, read_json, write_json
 
-# sha256 of the files written by `udbound example1` and `udbound example2 --d 3`.
+# sha256 of the files written by `udbound example1` and `udbound example2 --d 3|4`.
 # The fixtures are closed forms (outer and Kronecker products of exact
 # vectors), so these bytes do not depend on the BLAS/LAPACK build.
 WRITTEN_SHA256 = {
@@ -44,9 +52,21 @@ WRITTEN_SHA256 = {
         "example2_d3_measurement_global.json": "bb57bb2a21dcbc00e8d8af6ee1361f7712dd2a02d3e73800c5cad90af0355cb7",
         "example2_d3_measurement_locc.json": "aa68016a53dc3457813e47f66b72783b736c77cc562bdf0ee94d4b9ca691f3e0",
     },
+    "example2_d4": {
+        "example2_d4_certificate_global.json": "7850969898c5e72258d1674fe8382aa62e6418c6b5c3f7e49a209ab413dde344",
+        "example2_d4_certificate_sep.json": "000289f6e11247746fbc4484d3e538e09b4d327cbd7c8da88c5484e5b31eb653",
+        "example2_d4_cones.json": "11c7875b00fd5c97af4a13775c588975f6c981826e225c5381711964136a9483",
+        "example2_d4_ensemble.json": "bcb3a6588ad772df1ef6900134f845ead724bd2af696289114f8991718999a58",
+        "example2_d4_measurement_global.json": "147c52c3d3a32a1fb14a08b181150f20232084a4cea7e885fb9f5262c4add0f0",
+        "example2_d4_measurement_locc.json": "7d96a05564587cc91f6487f41c859516d6fd09c285a06c92bbde622dfc0605d0",
+    },
 }
 
-EXAMPLE_ARGS = {"example1": ["example1"], "example2_d3": ["example2", "--d", "3"]}
+EXAMPLE_ARGS = {
+    "example1": ["example1"],
+    "example2_d3": ["example2", "--d", "3"],
+    "example2_d4": ["example2", "--d", "4"],
+}
 
 
 class TestWrittenBytes:
@@ -57,6 +77,142 @@ class TestWrittenBytes:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.json")
         }
         assert written == WRITTEN_SHA256[name]
+
+    def test_json_stdout_is_the_written_report(self, tmp_path, capsys):
+        assert main(["example1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        args = ["solve", "global", "--ensemble", str(tmp_path / "example1_ensemble.json")]
+        assert main([*args, "--format", "json", "--out", str(report)]) == 0
+        text = report.read_text(encoding="utf-8")
+        assert text.endswith("}\n")
+        assert capsys.readouterr().out == text  # print adds the newline the file ends with
+
+
+# ---------------------------------------------------------------------------
+# the writer: the text of json.dumps(obj, indent=2, sort_keys=True)
+
+TRICKY_STRINGS = st.sampled_from(["], [", ", ", '"', "\n", "]], [[", "[]", "{}", "é ∞ 😀", "a\\b", ""])
+NUMBERS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308, 1.79e308]),
+    st.integers(-(10**40), 10**40),
+)
+LEAVES = st.one_of(NUMBERS, st.booleans(), st.none(), TRICKY_STRINGS, st.text(max_size=6))
+
+
+@st.composite
+def uniform_number_lists(draw):
+    """Number lists nested to one depth with ragged lengths, like matrices."""
+    depth = draw(st.integers(1, 4))
+
+    def level(k):
+        size = draw(st.integers(1, 3))
+        return [draw(NUMBERS) if k == depth else level(k + 1) for _ in range(size)]
+
+    return level(1)
+
+
+JSON_TREES = st.recursive(
+    st.one_of(LEAVES, uniform_number_lists()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(TRICKY_STRINGS, st.text(max_size=6)), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestWriter:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(JSON_TREES)
+    @example([[1], 2])
+    @example([[[1.0, 2.0]], [3.0, [4.0]]])
+    @example({"a": [[], [[]], [1, []]], "b": {"c": {}}, "], [": ["], [", ", "]})
+    @example([[{}], [{}]])
+    @example(((1, (2, 3)), [4, 5]))
+    @example([0.5, ", ", "]], [["])
+    @example([[1, "x], [y"], [2, "a, b"]])
+    def test_matches_json_dumps(self, obj):
+        assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [{1: "a", 2.5: "b"}, {True: 1, False: 2}, {None: 2}, {math.nan: 0}])
+    def test_non_string_keys_match_json_dumps(self, obj):
+        assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [{(1,): 0}, [object()], {"a": {1, 2}}])
+    def test_unencodable_values_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            dumps(obj)
+
+
+class TestReader:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_setting_is_restored(self, tmp_path, enabled):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"a": [[1.0, 2.0]]}', encoding="utf-8")
+        bad.write_text("{not json", encoding="utf-8")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert read_json(good) == {"a": [[1.0, 2.0]]}
+            assert gc.isenabled() is enabled
+            with pytest.raises(SchemaError, match="invalid JSON"):
+                read_json(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+# ---------------------------------------------------------------------------
+# verdicts survive the files
+
+
+def _random_two_qubit_ensemble(seed):
+    rng = np.random.default_rng(seed)
+    dims = DimVector((2, 2))
+    states = []
+    for _ in range(3):
+        g = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+        rho = g @ g.conj().T
+        states.append(HermitianOperator(rho / np.trace(rho).real, dims))
+    weights = rng.exponential(size=3) + 0.05
+    return Ensemble(dims, tuple(weights / weights.sum()), tuple(states))
+
+
+ROUND_TRIP_ENSEMBLES = {
+    "example1": lambda: build_example1()[0],
+    "example2_d3": lambda: build_example2(3)[0],
+    "random_seed_0": lambda: _random_two_qubit_ensemble(0),
+    "random_seed_1": lambda: _random_two_qubit_ensemble(1),
+}
+
+
+def _verdict_bits(report):
+    return (
+        report.passed,
+        report.failing,
+        {k: v.hex() for k, v in report.residuals.items()},
+        {k: {i: v.hex() for i, v in d.items()} for k, d in report.details.items()},
+        report.value.hex(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_ENSEMBLES))
+def test_solved_verdict_survives_write_and_load(name, tmp_path):
+    ensemble = ROUND_TRIP_ENSEMBLES[name]()
+    solved = solve_global(ensemble, tol=1e-7, seed=0)
+    assert solved.status == "optimal"
+    payload = solved.to_dict()
+    write_json(tmp_path / "m.json", payload["measurement"])
+    write_json(tmp_path / "c.json", payload["dual_certificate"])
+    in_memory = verify_optimality(ensemble, solved.measurement, solved.dual_certificate, tol=1e-6)
+    from_files = verify_optimality(
+        ensemble, load_measurement(tmp_path / "m.json"), load_certificate(tmp_path / "c.json"), tol=1e-6
+    )
+    assert in_memory.passed
+    assert _verdict_bits(from_files) == _verdict_bits(in_memory)
 
 
 # ---------------------------------------------------------------------------

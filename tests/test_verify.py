@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,15 +20,18 @@ from udbound import (
     example_cone_generators,
     hs_inner,
     identity,
+    is_psd,
     load_certificate,
     load_cones,
     load_ensemble,
     load_measurement,
+    min_eigenvalue,
     nlwe_witness,
     save_certificate,
     save_cones,
     save_ensemble,
     save_measurement,
+    validate_measurement,
     verify_locc_equality,
     verify_optimality,
     verify_separable_certificate,
@@ -315,3 +320,57 @@ class TestReproducibilityFromSerializedInputs:
         )
         assert report.passed == direct.passed
         assert report.residuals == direct.residuals
+
+
+class TestNanOperators:
+    """A NaN entry fails every PSD check; LAPACK alone reads these matrices as PSD."""
+
+    NAN_MATRICES = [
+        [[math.nan, 0], [0, 1]],
+        [[1, 0, 0], [0, 1, math.nan], [0, math.nan, 1]],
+    ]
+
+    @pytest.mark.parametrize("mat", NAN_MATRICES)
+    def test_not_psd(self, mat):
+        mat = np.array(mat, dtype=np.complex128)
+        assert math.isnan(min_eigenvalue(mat))
+        assert not is_psd(mat)
+        assert not is_psd(HermitianOperator(mat, DimVector((len(mat),))))
+
+    def test_validate_measurement_flags_nan_element(self, example1):
+        ensemble, fixtures, _ = example1
+        elements = list(fixtures.global_measurement.elements)
+        mat = np.array(elements[1].matrix)
+        mat[0, 0] = math.nan
+        elements[1] = HermitianOperator(mat, ensemble.dims)
+        measurement = Measurement(ensemble.dims, tuple(elements))
+        report = validate_measurement(measurement)
+        assert not report.ok and "not PSD" in str(report)
+        assert math.isnan(measurement.psd_residual())
+        assert not check_no_error(ensemble, measurement).passed
+
+    def test_nan_local_povm_element_raises(self, example1):
+        ensemble, fixtures, cones = example1
+        protocol = fixtures.locc_measurement.locc_protocol
+        nan_element = np.array(protocol.site_povms[0][0])
+        nan_element[1, 1] = math.nan
+        site0 = (nan_element,) + protocol.site_povms[0][1:]
+        broken = LoccProtocol(protocol.description, (site0, protocol.site_povms[1]), protocol.assignment)
+        mutated = Measurement(
+            ensemble.dims,
+            fixtures.locc_measurement.elements,
+            decompositions=fixtures.locc_measurement.decompositions,
+            locc_protocol=broken,
+        )
+        with pytest.raises(ProtocolError):
+            verify_locc_equality(ensemble, mutated, fixtures.sep_certificate, cones)
+
+    def test_nan_certificate_fails_every_verifier(self, example1):
+        ensemble, fixtures, cones = example1
+        mat = np.array(fixtures.sep_certificate.matrix)
+        mat[2, 2] = math.nan
+        certificate = HermitianOperator(mat, ensemble.dims)
+        prop1 = verify_optimality(ensemble, fixtures.global_measurement, certificate)
+        thm3 = verify_separable_certificate(ensemble, fixtures.locc_measurement, certificate, cones)
+        assert "7a" in prop1.failing and not prop1.passed
+        assert "14a" in thm3.failing and "14a" not in thm3.unverified
