@@ -54,10 +54,9 @@ def _dim_cap() -> int:
 
 
 def _emit(payload: dict, fmt: str, out: str | None, text_lines: list[str]) -> None:
-    if out:
-        write_json(out, payload)
+    text = write_json(out, payload) if out else None
     if fmt == "json":
-        print(dumps(payload))
+        print(text or dumps(payload) + "\n", end="")
     else:
         for line in text_lines:
             print(line)

@@ -163,8 +163,11 @@ def _reindent(obj: Union[list, tuple], newline: str) -> Union[str, None]:
     return head + body + tail
 
 
-def write_json(path: Union[str, Path], payload: dict) -> None:
-    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+def write_json(path: Union[str, Path], payload: dict) -> str:
+    """Write ``dumps(payload)`` and a newline to ``path``; return the text written."""
+    text = dumps(payload) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def read_json(path: Union[str, Path]) -> Any:

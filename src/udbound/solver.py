@@ -31,31 +31,43 @@ _SQRT2 = math.sqrt(2.0)
 
 
 @functools.lru_cache(maxsize=64)
-def _indices(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal and upper-triangle (rows, cols) indices of a side x side matrix; shared, so read-only."""
-    out = (np.arange(side), *np.triu_indices(side, 1))
+def _indices(side: int) -> tuple[np.ndarray, ...]:
+    """Index tables of a side x side matrix; shared, so read-only.
+
+    Diagonal and upper-triangle (rows, cols) indices, then two gather
+    tables: the svec coordinates in the float64 view of the flattened
+    matrix (diagonal re, upper re, upper im), and each flattened matrix
+    entry in the columns ``[diag | upper | conj(upper)]``.
+    """
+    diag, rows, cols = np.arange(side), *np.triu_indices(side, 1)
+    k = len(rows)
+    upper = rows * side + cols
+    to_svec = np.concatenate([2 * diag * (side + 1), 2 * upper, 2 * upper + 1])
+    to_mat = np.empty((side, side), dtype=np.intp)
+    to_mat[diag, diag] = diag
+    to_mat[rows, cols] = side + np.arange(k)
+    to_mat[cols, rows] = side + k + np.arange(k)
+    out = (diag, rows, cols, to_svec, to_mat.ravel())
     for arr in out:
         arr.setflags(write=False)
     return out
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix; an isometry for Tr(AB)."""
-    _, rows, cols = _indices(mat.shape[0])
-    off = mat[rows, cols]
-    return np.concatenate([mat.diagonal().real, _SQRT2 * off.real, _SQRT2 * off.imag])
+    """Real coordinates of a Hermitian matrix, or of a stack of them; an isometry for Tr(AB)."""
+    mat = np.ascontiguousarray(mat, dtype=np.complex128)
+    side = mat.shape[-1]
+    out = mat.reshape(*mat.shape[:-2], side * side).view(np.float64)[..., _indices(side)[3]]
+    out[..., side:] *= _SQRT2
+    return out
 
 
 def smat(vec: np.ndarray, side: int) -> np.ndarray:
-    """Inverse of :func:`svec`."""
-    out = np.zeros((side, side), dtype=np.complex128)
-    diag, rows, cols = _indices(side)
-    k = len(rows)
-    off = (vec[side : side + k] + 1j * vec[side + k :]) / _SQRT2
-    out[diag, diag] = vec[:side]
-    out[rows, cols] = off
-    out[cols, rows] = off.conj()
-    return out
+    """Inverse of :func:`svec`, over the last axis of ``vec``."""
+    k = side * (side - 1) // 2
+    off = (vec[..., side : side + k] + 1j * vec[..., side + k :]) / _SQRT2
+    cols = np.concatenate([vec[..., :side].astype(np.complex128), off, off.conj()], axis=-1)
+    return cols[..., _indices(side)[4]].reshape(*vec.shape[:-1], side, side)
 
 
 def hermitian_basis(side: int):
@@ -64,7 +76,7 @@ def hermitian_basis(side: int):
         f = np.zeros((side, side), dtype=np.complex128)
         f[a, a] = 1.0
         yield f
-    _, rows, cols = _indices(side)
+    _, rows, cols = _indices(side)[:3]
     for a, b in zip(rows, cols):
         f = np.zeros((side, side), dtype=np.complex128)
         f[a, b] = 1.0 / _SQRT2
@@ -116,6 +128,9 @@ class ConicProgram:
         if len(set(names)) != len(names):
             raise ValueError("block names must be unique")
         sides = {b.name: b.side for b in self.blocks}
+        for k, con in enumerate(self.constraints):
+            if not math.isfinite(con.rhs):
+                raise ValueError(f"constraint {k} rhs {con.rhs} is not finite")
         for where, coeffs in [("objective", self.objective)] + [
             (f"constraint {k}", c.coeffs) for k, c in enumerate(self.constraints)
         ]:
@@ -125,7 +140,10 @@ class ConicProgram:
                 mat = np.asarray(mat)
                 if mat.shape != (sides[name], sides[name]):
                     raise ValueError(f"{where} coefficient for {name!r} has shape {mat.shape}")
-                scale = max(1.0, float(np.abs(mat).max()))
+                top = float(np.abs(mat).max())
+                if not math.isfinite(top):
+                    raise ValueError(f"{where} coefficient for {name!r} is not finite")
+                scale = max(1.0, top)
                 if float(np.abs(mat - mat.conj().T).max()) > 1e-9 * scale:
                     raise ValueError(f"{where} coefficient for {name!r} is not Hermitian")
 
@@ -224,16 +242,25 @@ def _assemble(program: ConicProgram) -> _Assembled:
     return _Assembled(c, A, b, layout, flip)
 
 
-def _project_cone(vec: np.ndarray, layout) -> np.ndarray:
-    out = np.empty_like(vec)
+def _side_groups(layout) -> list[tuple[int, np.ndarray]]:
+    """For each distinct block side, the stacked coordinate indices of its blocks."""
+    rows: dict[int, list[np.ndarray]] = {}
     for _, side, sl in layout:
+        rows.setdefault(side, []).append(np.arange(sl.start, sl.stop))
+    return [(side, np.stack(idx)) for side, idx in rows.items()]
+
+
+def _project_cone(vec: np.ndarray, groups) -> np.ndarray:
+    """Project onto the product cone, one batched eigendecomposition per side group."""
+    out = np.empty_like(vec)
+    for side, idx in groups:
+        x = vec[idx]
         if side == 1:
-            out[sl] = max(0.0, vec[sl][0])
+            out[idx] = np.where(x > 0.0, x, 0.0)  # max(0.0, x): NaN and -0.0 give +0.0
             continue
-        mat = smat(vec[sl], side)
-        w, v = np.linalg.eigh(mat)
+        w, v = np.linalg.eigh(smat(x, side))
         w = np.maximum(w, 0.0)
-        out[sl] = svec((v * w) @ v.conj().T)
+        out[idx] = svec((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2))
     return out
 
 
@@ -256,6 +283,7 @@ def solve(
     data = _assemble(program)
     c, A, b, layout = data.c, data.A, data.b, data.layout
     m, total = A.shape
+    groups = _side_groups(layout)
 
     def finish(status, z, nu, res, iters):
         blocks = {}
@@ -278,7 +306,7 @@ def solve(
         )
 
     if m == 0:
-        z = _project_cone(-c, layout)  # any cone point works; 0 is optimal iff c in dual
+        z = _project_cone(-c, groups)  # any cone point works; 0 is optimal iff c in dual
         if float(c @ z) < -tol:
             return finish("infeasible", np.zeros(total), None, {"primal": 0.0, "dual": 0.0, "gap": 0.0}, 0)
         return finish("optimal", np.zeros(total), np.zeros(0), {"primal": 0.0, "dual": 0.0, "gap": 0.0}, 0)
@@ -309,16 +337,18 @@ def solve(
 
     for it in range(1, max_iter + 1):
         w = z - u
-        nu = cho_solve(factor, sigma * (A @ w - b) - Ac)
+        nu = cho_solve(factor, sigma * (A @ w - b) - Ac, check_finite=False)
         x = w - (c + A.T @ nu) / sigma
         xh = over_relax * x + (1.0 - over_relax) * z
         v = xh + u
-        z = _project_cone(v, layout)
+        z = _project_cone(v, groups)
         u = v - z
 
         if it % check_every == 0 or it == max_iter:
             pres = float(np.abs(A @ z - b).max()) if m else 0.0
             dres = float(np.abs(c + A.T @ nu + sigma * u).max())
+            if not (math.isfinite(pres) and math.isfinite(dres)):
+                raise ValueError(f"iterate is not finite at iteration {it} (primal {pres}, dual {dres})")
             pobj = float(c @ z)
             dobj = -float(b @ nu)
             gap = abs(pobj - dobj)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udbound import (
     Block,
@@ -26,7 +28,7 @@ from udbound import (
     solve_global_certificate,
     solve_separable_bound,
 )
-from udbound.solver import hermitian_basis, smat, svec
+from udbound.solver import _project_cone, _side_groups, hermitian_basis, smat, svec
 from helpers import random_ensemble
 
 
@@ -48,6 +50,145 @@ class TestSvec:
                 expect = np.zeros(side * side)
                 expect[k] = 1.0
                 assert np.abs(coords - expect).max() < 1e-14
+
+
+# The per-block projection as it was before blocks of one side were batched,
+# kept as the reference the batched projection must reproduce bit for bit.
+_SQRT2 = math.sqrt(2.0)
+
+
+def _ref_svec(mat):
+    rows, cols = np.triu_indices(mat.shape[0], 1)
+    off = mat[rows, cols]
+    return np.concatenate([mat.diagonal().real, _SQRT2 * off.real, _SQRT2 * off.imag])
+
+
+def _ref_smat(vec, side):
+    out = np.zeros((side, side), dtype=np.complex128)
+    diag, (rows, cols) = np.arange(side), np.triu_indices(side, 1)
+    k = len(rows)
+    off = (vec[side : side + k] + 1j * vec[side + k :]) / _SQRT2
+    out[diag, diag] = vec[:side]
+    out[rows, cols] = off
+    out[cols, rows] = off.conj()
+    return out
+
+
+def _ref_project_cone(vec, layout):
+    out = np.empty_like(vec)
+    for _, side, sl in layout:
+        if side == 1:
+            out[sl] = max(0.0, vec[sl][0])
+            continue
+        mat = _ref_smat(vec[sl], side)
+        w, v = np.linalg.eigh(mat)
+        w = np.maximum(w, 0.0)
+        out[sl] = _ref_svec((v * w) @ v.conj().T)
+    return out
+
+
+# exact zeros of both signs and magnitudes from 1e-300 to 1e300
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, mant, exp: sign * mant * 10.0**exp,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1.0, 9.999),
+        st.integers(-300, 299),
+    ),
+)
+
+
+@st.composite
+def layouts_and_vectors(draw):
+    sides = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7))
+    layout, offset = [], 0
+    for k, side in enumerate(sides):
+        layout.append((f"b{k}", side, slice(offset, offset + side * side)))
+        offset += side * side
+    vec = np.array(draw(st.lists(COORDS, min_size=offset, max_size=offset)))
+    # a few non-finite coordinates: a side-1 NaN must project to +0.0, as max(0.0, x) does
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, offset - 1), bad), max_size=2)):
+        vec[pos] = value
+    return layout, vec
+
+
+def _outcome(project):
+    try:
+        with np.errstate(all="ignore"):
+            return project().tobytes()
+    except np.linalg.LinAlgError:  # LAPACK may not converge on huge or non-finite entries
+        return "eigh did not converge"
+
+
+class TestBatchedProjection:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(layouts_and_vectors())
+    @example(([("a", 1, slice(0, 1)), ("b", 1, slice(1, 2)), ("c", 2, slice(2, 6))],
+              np.array([math.nan, -0.0, 1.0, -0.0, 0.0, math.nan])))
+    def test_equals_per_block_loop(self, case):
+        layout, vec = case
+        batched = _outcome(lambda: _project_cone(vec, _side_groups(layout)))
+        assert batched == _outcome(lambda: _ref_project_cone(vec, layout))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_stacked_coordinates_equal_per_matrix(self, side, count, data):
+        size = side * side
+        vecs = np.array(data.draw(st.lists(COORDS, min_size=count * size, max_size=count * size)))
+        vecs = vecs.reshape(count, size)
+        with np.errstate(all="ignore"):
+            mats = smat(vecs, side)
+            assert mats.tobytes() == np.stack([smat(x, side) for x in vecs]).tobytes()
+            assert mats.tobytes() == np.stack([_ref_smat(x, side) for x in vecs]).tobytes()
+            coords = svec(mats)
+            assert coords.tobytes() == np.stack([svec(a) for a in mats]).tobytes()
+            assert coords.tobytes() == np.stack([_ref_svec(a) for a in mats]).tobytes()
+            grid = mats.reshape(2, -1, side, side) if count % 2 == 0 else mats[None]
+            assert svec(grid).tobytes() == coords.tobytes()
+
+    def test_side_groups_stack_repeated_sides(self):
+        layout = [("a", 2, slice(0, 4)), ("s", 1, slice(4, 5)), ("b", 2, slice(5, 9))]
+        groups = dict(_side_groups(layout))
+        assert sorted(groups) == [1, 2]
+        assert groups[2].tolist() == [[0, 1, 2, 3], [5, 6, 7, 8]]
+        assert groups[1].tolist() == [[4]]
+
+
+class TestNonFiniteData:
+    @staticmethod
+    def program(objective=None, coeff=None, rhs=1.0):
+        eye = np.eye(2, dtype=complex)
+        return ConicProgram(
+            (Block("x", 2),),
+            {"x": eye if objective is None else objective},
+            (Constraint({"x": eye if coeff is None else coeff}, rhs),),
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_objective_rejected(self, bad):
+        objective = np.eye(2, dtype=complex)
+        objective[1, 1] = bad
+        with pytest.raises(ValueError, match="objective coefficient for 'x' is not finite"):
+            self.program(objective=objective)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_constraint_coefficient_rejected(self, bad):
+        coeff = np.eye(2, dtype=complex)
+        coeff[0, 1] = coeff[1, 0] = bad
+        with pytest.raises(ValueError, match="constraint 0 coefficient for 'x' is not finite"):
+            self.program(coeff=coeff)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rhs_rejected(self, bad):
+        with pytest.raises(ValueError, match="constraint 0 rhs .* is not finite"):
+            self.program(rhs=bad)
+
+    def test_overflowing_iterate_raises(self):
+        program = self.program(objective=np.diag([1e308, -1e308]).astype(complex))
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            solve(program, max_iter=3000)
 
 
 class TestSolveToys:
