@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .ensembles import Ensemble
+from .ensembles import Ensemble, _frozen_factors
 from .jsonio import (
     SchemaError,
     dims_from_json,
@@ -36,6 +36,7 @@ from .operators import (
     StateVector,
     compress,
     hs_inner,
+    kron_sum,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -72,15 +73,14 @@ class ConeGenerators:
             if form is None:
                 frozen_forms.append(None)
                 continue
-            factors = tuple(np.array(f, dtype=np.complex128) for f in form)
-            if len(factors) != self.dims.sites:
-                raise ValueError(f"generator {k} product form has {len(factors)} factors")
-            prod = np.ones((1, 1), dtype=np.complex128)
+            (factors,) = _frozen_factors((form,))
+            try:
+                prod = kron_sum((factors,), self.dims.dims)
+            except ValueError as exc:
+                raise ValueError(f"generator {k} product form: {exc}") from exc
             for f in factors:
-                f.setflags(write=False)
                 if not min_eigenvalue(f) >= -PSD_TOL * max(1.0, float(np.abs(f).max())):
                     raise ValueError(f"generator {k} has a non-PSD local factor")
-                prod = np.kron(prod, f)
             if np.abs(prod - gen.matrix).max() > 1e-10 * scale:
                 raise ValueError(f"generator {k} product form does not reconstruct it")
             frozen_forms.append(factors)

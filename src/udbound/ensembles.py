@@ -33,6 +33,7 @@ from .operators import (
     DimVector,
     HermitianOperator,
     StateVector,
+    kron_sum,
     min_eigenvalue,
     nan_max,
     psd_violation,
@@ -67,6 +68,15 @@ class Ensemble:
         return tuple(zip(self.priors, self.states))
 
 
+def _frozen_factors(groups) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Read-only complex copies of nested factor lists (decomposition terms, site POVMs)."""
+    frozen = tuple(tuple(np.array(f, dtype=np.complex128) for f in group) for group in groups)
+    for group in frozen:
+        for f in group:
+            f.setflags(write=False)
+    return frozen
+
+
 @dataclass(frozen=True, eq=False)
 class SeparableDecomposition:
     """Explicit sum-of-product-PSD-factors witness for one operator."""
@@ -74,24 +84,10 @@ class SeparableDecomposition:
     terms: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self) -> None:
-        frozen = tuple(
-            tuple(np.array(f, dtype=np.complex128) for f in term) for term in self.terms
-        )
-        for term in frozen:
-            for f in term:
-                f.setflags(write=False)
-        object.__setattr__(self, "terms", frozen)
+        object.__setattr__(self, "terms", _frozen_factors(self.terms))
 
     def reconstruct(self, dims: DimVector) -> np.ndarray:
-        total = np.zeros((dims.total, dims.total), dtype=np.complex128)
-        for term in self.terms:
-            if len(term) != dims.sites:
-                raise ValueError(f"term has {len(term)} factors, expected {dims.sites}")
-            part = np.ones((1, 1), dtype=np.complex128)
-            for f in term:
-                part = np.kron(part, f)
-            total += part
-        return total
+        return kron_sum(self.terms, dims.dims)
 
     def residual(self, op: HermitianOperator) -> float:
         """Max of the reconstruction error and any factor's PSD violation."""
@@ -114,13 +110,7 @@ class LoccProtocol:
     default_element: int = 0
 
     def __post_init__(self) -> None:
-        frozen = tuple(
-            tuple(np.array(el, dtype=np.complex128) for el in povm) for povm in self.site_povms
-        )
-        for povm in frozen:
-            for el in povm:
-                el.setflags(write=False)
-        object.__setattr__(self, "site_povms", frozen)
+        object.__setattr__(self, "site_povms", _frozen_factors(self.site_povms))
         object.__setattr__(
             self, "assignment", {tuple(int(i) for i in k): int(v) for k, v in self.assignment.items()}
         )
@@ -133,32 +123,18 @@ class LoccProtocol:
             out.append(float(np.abs(total - np.eye(side)).max()))
         return out
 
-    def outcome_tuples(self) -> list[tuple[int, ...]]:
-        ranges = [range(len(p)) for p in self.site_povms]
-        return [tuple(t) for t in itertools.product(*ranges)]
-
     def reconstruct_elements(self, dims: DimVector, count: int) -> list[np.ndarray]:
         """Coarse-grained measurement elements induced by the protocol."""
-        if dims.sites != len(self.site_povms):
-            raise ValueError("protocol site count does not match dims")
-        out = [np.zeros((dims.total, dims.total), dtype=np.complex128) for _ in range(count)]
-        for outcome in self.outcome_tuples():
-            part = np.ones((1, 1), dtype=np.complex128)
-            for k, idx in enumerate(outcome):
-                part = np.kron(part, self.site_povms[k][idx])
-            target = self.assignment.get(outcome, self.default_element)
-            if not 0 <= target < count:
-                raise ValueError(f"outcome {outcome} assigned to element {target} out of range")
-            out[target] += part
-        return out
+        return [dec.reconstruct(dims) for dec in self.derive_decompositions(dims, count)]
 
     def derive_decompositions(self, dims: DimVector, count: int) -> list[SeparableDecomposition]:
         """Per-element separable decompositions read off the product outcomes."""
         groups: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(count)]
-        for outcome in self.outcome_tuples():
+        for outcome in itertools.product(*(range(len(p)) for p in self.site_povms)):
             target = self.assignment.get(outcome, self.default_element)
-            factors = tuple(self.site_povms[k][idx] for k, idx in enumerate(outcome))
-            groups[target].append(factors)
+            if not 0 <= target < count:
+                raise ValueError(f"outcome {outcome} assigned to element {target} out of range")
+            groups[target].append(tuple(self.site_povms[k][idx] for k, idx in enumerate(outcome)))
         return [SeparableDecomposition(tuple(g)) for g in groups]
 
 

@@ -8,7 +8,7 @@ immutable; every function here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -21,6 +21,7 @@ PSD_TOL = 1e-9
 RANK_TOL = 1e-9
 
 _ORTHONORMAL_TOL = 1e-10
+_UNIT_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,12 @@ class HermitianOperator:
 
     The stored matrix is the symmetrized input (A + A^dag)/2; the max-entry
     deviation |A - A^dag| of the raw input is recorded and inputs beyond
-    ``herm_tol`` are rejected.
+    ``HERMITICITY_LIMIT`` are rejected.
     """
 
     matrix: np.ndarray
     dims: DimVector
-    herm_tol: float = HERMITICITY_LIMIT
-    deviation: float = 0.0
+    deviation: float = field(init=False)
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=np.complex128)
@@ -87,9 +87,9 @@ class HermitianOperator:
                 f"matrix side {mat.shape[0]} does not match total dimension {dims.total}"
             )
         deviation = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-        if deviation > self.herm_tol:
+        if deviation > HERMITICITY_LIMIT:
             raise ValueError(
-                f"hermiticity deviation {deviation:.3e} exceeds tolerance {self.herm_tol:.1e}"
+                f"hermiticity deviation {deviation:.3e} exceeds tolerance {HERMITICITY_LIMIT:.1e}"
             )
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
@@ -132,7 +132,6 @@ class StateVector:
 
     amplitudes: np.ndarray
     dims: DimVector
-    norm_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
@@ -140,8 +139,8 @@ class StateVector:
         if amp.size != dims.total:
             raise ValueError(f"vector length {amp.size} does not match total dimension {dims.total}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > self.norm_tol:
-            raise ValueError(f"vector norm {norm!r} is not 1 within {self.norm_tol:.1e}")
+        if abs(norm - 1.0) > _UNIT_NORM_TOL:
+            raise ValueError(f"vector norm {norm!r} is not 1 within {_UNIT_NORM_TOL:.1e}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "dims", dims)
@@ -185,16 +184,36 @@ def identity(dims: Union[DimVector, Sequence[int]]) -> HermitianOperator:
     return HermitianOperator(np.eye(dims.total, dtype=np.complex128), dims)
 
 
+def kron_sum(terms: Sequence[Sequence[np.ndarray]], sides: Sequence[int]) -> np.ndarray:
+    """Sum over terms of the Kronecker product of their factors; factor 0 varies slowest.
+
+    Factor k of every term must be sides[k] x sides[k].  Each half of the
+    sites is multiplied out per term, and one matrix product sums the terms.
+    """
+    count, half = len(terms), len(sides) // 2
+    for t, term in enumerate(terms):
+        shapes = [np.shape(f) for f in term]
+        if shapes != [(s, s) for s in sides]:
+            raise ValueError(f"term {t} has factor shapes {shapes}, expected sides {tuple(sides)}")
+    halves = []
+    for group in (range(half), range(half, len(sides))):
+        part = np.ones((count, 1, 1), dtype=np.complex128)
+        for k in group:
+            f = np.array([term[k] for term in terms], dtype=np.complex128).reshape(count, sides[k], sides[k])
+            n = part.shape[1] * sides[k]
+            part = (part[:, :, None, :, None] * f[:, None, :, None, :]).reshape(count, n, n)
+        halves.append(part.reshape(count, part.shape[1] ** 2))
+    a, b = math.prod(sides[:half]), math.prod(sides[half:])
+    out = halves[0].T @ halves[1]
+    return out.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+
+
 def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
     """Kronecker product of operators; the first factor varies slowest."""
     if not ops:
         raise ValueError("no factors")
-    mat = np.ones((1, 1), dtype=np.complex128)
-    dims: list[int] = []
-    for op in ops:
-        mat = np.kron(mat, op.matrix)
-        dims.extend(op.dims.dims)
-    return HermitianOperator(mat, DimVector(tuple(dims)))
+    dims = tuple(d for op in ops for d in op.dims.dims)
+    return HermitianOperator(kron_sum(([op.matrix for op in ops],), [op.side for op in ops]), DimVector(dims))
 
 
 def _matrix_and_dims(

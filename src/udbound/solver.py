@@ -28,6 +28,9 @@ from scipy.linalg import cho_factor, cho_solve
 from .operators import HermitianOperator
 
 _SQRT2 = math.sqrt(2.0)
+_SIGMA = 1.0  # initial ADMM penalty; residual balancing doubles or halves it
+_OVER_RELAX = 1.6  # over-relaxation factor of the affine step
+_CHECK_EVERY = 25  # iterations between residual checks
 
 
 @functools.lru_cache(maxsize=64)
@@ -269,9 +272,6 @@ def solve(
     tol: float = 1e-7,
     max_iter: int = 200_000,
     seed: int = 0,
-    sigma: float = 1.0,
-    over_relax: float = 1.6,
-    check_every: int = 25,
 ) -> SolveReport:
     """Run the splitting iteration until all three residuals fall below tol.
 
@@ -326,6 +326,7 @@ def solve(
     c_scale = max(1.0, float(np.abs(c).max()))
     Ac = A @ c
 
+    sigma = _SIGMA
     z = np.zeros(total)
     u = np.zeros(total)
     nu = np.zeros(m)
@@ -339,12 +340,12 @@ def solve(
         w = z - u
         nu = cho_solve(factor, sigma * (A @ w - b) - Ac, check_finite=False)
         x = w - (c + A.T @ nu) / sigma
-        xh = over_relax * x + (1.0 - over_relax) * z
+        xh = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * z
         v = xh + u
         z = _project_cone(v, groups)
         u = v - z
 
-        if it % check_every == 0 or it == max_iter:
+        if it % _CHECK_EVERY == 0 or it == max_iter:
             pres = float(np.abs(A @ z - b).max()) if m else 0.0
             dres = float(np.abs(c + A.T @ nu + sigma * u).max())
             if not (math.isfinite(pres) and math.isfinite(dres)):

@@ -10,7 +10,7 @@ certificate), "14a"/"14b" (bound-certificate feasibility), "16a"/"16b"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -157,7 +157,10 @@ def _require_decompositions(measurement: Measurement, tol: float) -> None:
         if dec is None:
             raise PrecheckError(f"separability not certified: element {k} has no decomposition")
         scale = max(1.0, float(np.abs(measurement.elements[k].matrix).max()))
-        res = dec.residual(measurement.elements[k])
+        try:
+            res = dec.residual(measurement.elements[k])
+        except ValueError as exc:
+            raise PrecheckError(f"separability not certified: element {k} decomposition: {exc}") from exc
         if not res <= max(tol, 1e-9) * scale:
             raise PrecheckError(
                 f"separability not certified: element {k} decomposition off by {res:.3e}"
@@ -248,8 +251,6 @@ def _protocol_residual(measurement: Measurement, tol: float) -> float:
     protocol = measurement.locc_protocol
     if protocol is None:
         raise PrecheckError("LOCC protocol descriptor missing")
-    if len(protocol.site_povms) != measurement.dims.sites:
-        raise ProtocolError("protocol site count does not match the space")
     for k, resid in enumerate(protocol.local_completeness_residuals()):
         if not resid <= tol:
             raise ProtocolError(f"local POVM at site {k} incomplete (residual {resid:.3e})")
@@ -260,7 +261,10 @@ def _protocol_residual(measurement: Measurement, tol: float) -> float:
                 raise ProtocolError(
                     f"local POVM element {e} at site {k} not PSD (min eigenvalue {lo:.3e})"
                 )
-    rebuilt = protocol.reconstruct_elements(measurement.dims, len(measurement.elements))
+    try:
+        rebuilt = protocol.reconstruct_elements(measurement.dims, len(measurement.elements))
+    except ValueError as exc:
+        raise ProtocolError(f"protocol does not match the space: {exc}") from exc
     worst = 0.0
     for k, el in enumerate(measurement.elements):
         diff = float(np.abs(rebuilt[k] - el.matrix).max())
@@ -296,13 +300,7 @@ def verify_locc_equality(
             dec if dec is not None else derived[k]
             for k, dec in enumerate(measurement.decompositions)
         )
-        measurement = Measurement(
-            measurement.dims,
-            measurement.elements,
-            decompositions=patched,
-            locc_protocol=protocol,
-            label=measurement.label,
-        )
+        measurement = replace(measurement, decompositions=patched)
     report = verify_separable_certificate(ensemble, measurement, certificate, cones, tol)
     report.residuals["locc"] = recon
     report.notes.append(f"protocol: {protocol.description}")

@@ -1,10 +1,18 @@
-"""Shared test utilities: random instances and an independent two-state oracle."""
+"""Shared test utilities: random instances, forged measurements and an independent two-state oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from udbound import DimVector, Ensemble, HermitianOperator, StateVector
+from udbound import (
+    DimVector,
+    Ensemble,
+    HermitianOperator,
+    LoccProtocol,
+    Measurement,
+    SeparableDecomposition,
+    StateVector,
+)
 
 
 def random_state_vector(rng, dims) -> StateVector:
@@ -39,6 +47,21 @@ def random_ensemble(rng, dims, n) -> Ensemble:
         random_density(rng, dims, rank=1 if rng.random() < 2 / 3 else 2) for _ in range(n)
     )
     return Ensemble(DimVector(tuple(dims)), priors, states)
+
+
+def forged_global_as_separable(ensemble, fixtures):
+    """The entangled global measurement, each element claimed as a one-term product."""
+    g = fixtures.global_measurement
+    decompositions = tuple(SeparableDecomposition(((el.matrix, np.eye(1)),)) for el in g.elements)
+    return Measurement(ensemble.dims, g.elements, decompositions=decompositions)
+
+
+def forged_global_as_protocol(ensemble, fixtures):
+    """The entangled global measurement, claimed as a protocol whose site 0 is the whole space."""
+    g = fixtures.global_measurement
+    site_povms = (tuple(el.matrix for el in g.elements), (np.eye(1),))
+    protocol = LoccProtocol("forged", site_povms, {(k, 0): k for k in range(len(g.elements))})
+    return Measurement(ensemble.dims, g.elements, locc_protocol=protocol)
 
 
 def idp_oracle(psi1: StateVector, psi2: StateVector, prior1: float) -> float:

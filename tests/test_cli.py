@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from udbound import load_certificate, save_certificate, save_ensemble
+from udbound import load_certificate, save_certificate, save_ensemble, save_measurement
 from udbound.cli import main
-from udbound.ensembles import build_two_pure
+from udbound.ensembles import build_example1, build_two_pure
 from udbound.operators import StateVector, basis_state
+from helpers import forged_global_as_protocol, forged_global_as_separable
 
 
 @pytest.fixture()
@@ -201,6 +202,29 @@ class TestVerifyCommand:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "kind, forge", [("thm3", forged_global_as_separable), ("cor3", forged_global_as_protocol)]
+    )
+    def test_forged_product_structure_is_input_error(self, example1_files, tmp_path, capsys, kind, forge):
+        forged = tmp_path / "forged.json"
+        save_measurement(forge(*build_example1()), forged)
+        code = main(
+            [
+                "verify",
+                kind,
+                "--ensemble",
+                str(example1_files["ensemble"]),
+                "--measurement",
+                str(forged),
+                "--certificate",
+                str(example1_files["global_certificate"]),
+                "--cones",
+                str(example1_files["cones"]),
+            ]
+        )
+        assert code == 2
+        assert "term 0 has factor shapes [(4, 4), (1, 1)], expected sides (2, 2)" in capsys.readouterr().err
 
     def test_malformed_certificate(self, example1_files, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ from udbound import (
     ConeGenerators,
     DimVector,
     HermitianOperator,
+    SchemaError,
     StateVector,
     basis_state,
     build_example1,
@@ -15,17 +16,20 @@ from udbound import (
     build_two_pure,
     certify_unique_product_ray,
     conclusive_subspace,
+    cones_to_dict,
     example_cone_generators,
     hs_inner,
     identity,
     in_conclusive_dual,
     in_generated_dual,
     is_product_state,
+    load_cones,
     min_eigenvalue,
     partial_transpose,
     ppt_check,
     tensor,
 )
+from udbound.jsonio import matrix_to_json, write_json
 from helpers import random_psd
 
 SQ3 = math.sqrt(3.0)
@@ -185,6 +189,26 @@ class TestExampleConeGenerators:
         ensemble = build_two_pure(basis_state((2, 2), (0, 0)), basis_state((2, 2), (1, 1)), 0.5)
         with pytest.raises(ValueError, match="does not match"):
             example_cone_generators(ensemble, "example1", 0)
+
+
+class TestProductForm:
+    def test_factor_of_wrong_side_rejected(self):
+        ensemble, _ = build_example1()
+        cone = example_cone_generators(ensemble, "example1", 0)
+        whole = (cone.generators[0].matrix, np.eye(1))
+        with pytest.raises(ValueError, match=r"generator 0 product form: term 0 has factor shapes \[\(4, 4\), \(1, 1\)\]"):
+            ConeGenerators(ensemble.dims, cone.generators, (whole, cone.product_form[1]))
+
+    def test_load_cones_maps_wrong_side_to_schema_error(self, tmp_path):
+        ensemble, _ = build_example1()
+        cones = [example_cone_generators(ensemble, "example1", i) for i in range(3)]
+        payload = cones_to_dict(cones)
+        whole = (cones[0].generators[0].matrix, np.eye(1))
+        payload["cones"][0][0]["factors"] = [matrix_to_json(f) for f in whole]
+        path = tmp_path / "cones.json"
+        write_json(path, payload)
+        with pytest.raises(SchemaError, match=r"cones\[0\]: generator 0 product form"):
+            load_cones(path)
 
 
 class TestPptCheck:

@@ -4,7 +4,9 @@ import pytest
 from udbound import (
     DimVector,
     Ensemble,
+    LoccProtocol,
     SchemaError,
+    SeparableDecomposition,
     basis_state,
     build_example1,
     build_example2,
@@ -78,6 +80,19 @@ class TestExample1:
         rebuilt = protocol.reconstruct_elements(DimVector((2, 2)), 4)
         for got, el in zip(rebuilt, fixtures.locc_measurement.elements):
             assert np.abs(got - el.matrix).max() < 1e-12
+
+
+class TestProductStructure:
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_derive_decompositions_rejects_out_of_range_target(self, target):
+        protocol = LoccProtocol("x", ((np.eye(2),), (np.eye(2),)), {(0, 0): target})
+        with pytest.raises(ValueError, match=f"assigned to element {target} out of range"):
+            protocol.derive_decompositions(DimVector((2, 2)), 2)
+
+    def test_one_by_one_factors_are_rejected(self):
+        dec = SeparableDecomposition(((0.25 * np.eye(1), np.eye(1)),))
+        with pytest.raises(ValueError, match=r"factor shapes \[\(1, 1\), \(1, 1\)\], expected sides \(2, 2\)"):
+            dec.reconstruct(DimVector((2, 2)))
 
 
 class TestExample2:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udbound import (
     DimVector,
@@ -17,6 +19,7 @@ from udbound import (
     partial_trace,
     tensor,
 )
+from udbound.operators import kron_sum
 from helpers import random_hermitian, random_psd
 
 SQ3 = math.sqrt(3.0)
@@ -100,6 +103,61 @@ class TestTensor:
         assert np.abs(left.matrix - right.matrix).max() <= 1e-12 * np.abs(left.matrix).max()
         prod = tensor([a, b])
         assert prod.trace == pytest.approx(a.trace * b.trace, rel=1e-12, abs=1e-12)
+
+
+def _kron_loop(terms, sides):
+    """The per-term np.kron loop that kron_sum replaced, kept as the reference."""
+    total = np.zeros((math.prod(sides),) * 2, dtype=np.complex128)
+    for term in terms:
+        part = np.ones((1, 1), dtype=np.complex128)
+        for f in term:
+            part = np.kron(part, f)
+        total += part
+    return total
+
+
+@st.composite
+def kron_cases(draw, binary):
+    """1-4 sites of side 1-4 and 0-8 terms; complex normal factors, or entries 0/1."""
+    sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    count = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def factor(s):
+        if binary:
+            return rng.integers(0, 2, (s, s)).astype(np.complex128)
+        return rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+
+    return [tuple(factor(s) for s in sides) for _ in range(count)], sides
+
+
+class TestKronSum:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(kron_cases(binary=False))
+    def test_equals_kron_loop_to_rounding(self, case):
+        terms, sides = case
+        got = kron_sum(terms, sides)
+        magnitude = _kron_loop([tuple(np.abs(f) for f in term) for term in terms], sides)
+        assert got.shape == (math.prod(sides),) * 2
+        assert np.all(np.abs(got - _kron_loop(terms, sides)) <= 1e-13 * max(1.0, magnitude.max()))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(kron_cases(binary=True))
+    def test_equals_kron_loop_bit_for_bit_on_binary_factors(self, case):
+        terms, sides = case
+        assert kron_sum(terms, sides).tobytes() == _kron_loop(terms, sides).tobytes()
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([(np.eye(2), np.eye(2)), (np.eye(4), np.eye(1))], r"term 1 has factor shapes \[\(4, 4\), \(1, 1\)\]"),
+            ([(np.eye(4),)], r"term 0 has factor shapes \[\(4, 4\)\]"),
+            ([(np.eye(1), np.eye(1))], r"term 0 has factor shapes \[\(1, 1\), \(1, 1\)\]"),
+        ],
+    )
+    def test_rejects_factors_off_the_site_sides(self, terms, message):
+        with pytest.raises(ValueError, match=message + r", expected sides \(2, 2\)"):
+            kron_sum(terms, (2, 2))
 
 
 class TestPartialTrace:

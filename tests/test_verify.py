@@ -36,7 +36,7 @@ from udbound import (
     verify_optimality,
     verify_separable_certificate,
 )
-from helpers import random_psd
+from helpers import forged_global_as_protocol, forged_global_as_separable, random_psd
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +252,48 @@ class TestVerifyLoccEquality:
         )
         with pytest.raises(PrecheckError, match="protocol"):
             verify_locc_equality(ensemble, bare, fixtures.sep_certificate, cones)
+
+
+class TestForgedProductStructure:
+    """Factors must have the site sides; otherwise the global optimum 3/4 passes as local."""
+
+    def test_whole_space_factor_is_not_a_separable_decomposition(self, example1):
+        ensemble, fixtures, cones = example1
+        forged = forged_global_as_separable(ensemble, fixtures)
+        with pytest.raises(PrecheckError, match=r"element 0 decomposition: term 0 has factor shapes \[\(4, 4\), \(1, 1\)\]"):
+            verify_separable_certificate(ensemble, forged, fixtures.global_certificate, cones)
+
+    def test_whole_space_site_is_not_a_local_protocol(self, example1):
+        ensemble, fixtures, cones = example1
+        forged = forged_global_as_protocol(ensemble, fixtures)
+        with pytest.raises(ProtocolError, match=r"term 0 has factor shapes \[\(4, 4\), \(1, 1\)\]"):
+            verify_locc_equality(ensemble, forged, fixtures.global_certificate, cones)
+
+
+class TestExample2D5:
+    """The 620-term inconclusive element at d=5 (4 sites of side 5)."""
+
+    @pytest.fixture(scope="class")
+    def example2_d5(self):
+        ensemble, fixtures = build_example2(5)
+        cones = [example_cone_generators(ensemble, "example2", i) for i in range(5)]
+        return ensemble, fixtures, cones
+
+    def test_thm3_passes(self, example2_d5):
+        ensemble, fixtures, cones = example2_d5
+        report = verify_separable_certificate(
+            ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones, tol=1e-8
+        )
+        assert report.passed and not report.unverified
+        assert report.value == pytest.approx(1 / 617, abs=1e-12)
+
+    def test_cor3_passes(self, example2_d5):
+        ensemble, fixtures, cones = example2_d5
+        report = verify_locc_equality(
+            ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones, tol=1e-8
+        )
+        assert report.passed and report.residuals["locc"] == 0.0
+        assert report.value == pytest.approx(1 / 617, abs=1e-12)
 
 
 class TestNlweWitness:
