@@ -64,16 +64,9 @@ def _emit(payload: dict, fmt: str, out: str | None, text_lines: list[str]) -> No
 
 def _cmd_example(args) -> int:
     if args.command == "example1":
-        if args.d is not None:
-            raise SchemaError("example1 takes no --d")
         ensemble, fixtures = build_example1()
-        prefix = "example1"
-        which = "example1"
+        prefix = which = "example1"
     else:
-        if args.d is None:
-            raise SchemaError("example2 requires --d")
-        if args.d < 3:
-            raise SchemaError("d must be >= 3")
         ensemble, fixtures = build_example2(args.d, dim_cap=_dim_cap())
         prefix = f"example2_d{args.d}"
         which = "example2"
@@ -193,10 +186,6 @@ def _cmd_table(args) -> int:
     cap = _dim_cap()
     rows = []
     for d in range(args.d_min, args.d_max + 1):
-        if d < 3:
-            raise SchemaError("d must be >= 3")
-        if d ** (d - 1) > cap:
-            raise SchemaError(f"total dimension {d ** (d - 1)} exceeds cap {cap}")
         ensemble, _ = build_example2(d, dim_cap=cap)
         cones = [example_cone_generators(ensemble, "example2", i) for i in range(ensemble.n)]
         result = nlwe_witness(ensemble, cones, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
@@ -229,23 +218,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="text"):
-        p.add_argument("--format", choices=["json", "csv", "text"], default=fmt_default)
+    def output(p):
+        p.add_argument("--format", choices=["json", "text"], default="text")
         p.add_argument("--out", type=str, default=None)
+
+    def solver(p):
         p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-iter", type=int, default=200_000)
 
-    for name in ("example1", "example2"):
-        p = sub.add_parser(name, help=f"write the {name} ensemble and fixtures")
-        p.add_argument("--d", type=int, default=None, help="family parameter (example2 only)")
-        common(p)
+    p = sub.add_parser("example1", help="write the example1 ensemble and fixtures")
+    output(p)
+    p = sub.add_parser("example2", help="write the example2 ensemble and fixtures")
+    p.add_argument("--d", type=int, required=True, help="family parameter, d >= 3")
+    output(p)
 
     p = sub.add_parser("solve", help="run an optimization and write its report")
     p.add_argument("kind", choices=["global", "sep-bound"])
     p.add_argument("--ensemble", type=str, required=True)
     p.add_argument("--cones", type=str, default=None)
-    common(p)
+    output(p)
+    solver(p)
 
     p = sub.add_parser("verify", help="check certificates against supplied operators")
     p.add_argument("kind", choices=["prop1", "thm3", "cor3", "nlwe"])
@@ -253,12 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurement", type=str, default=None)
     p.add_argument("--certificate", type=str, default=None)
     p.add_argument("--cones", type=str, default=None)
-    common(p)
+    output(p)
+    solver(p)
 
     p = sub.add_parser("table", help="scan the qudit family and emit CSV")
     p.add_argument("--d-min", type=int, required=True)
     p.add_argument("--d-max", type=int, required=True)
-    common(p, fmt_default="csv")
+    p.add_argument("--out", type=str, default=None)
+    solver(p)
     return parser
 
 

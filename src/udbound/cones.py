@@ -30,7 +30,6 @@ from .jsonio import (
 )
 from .operators import (
     PSD_TOL,
-    RANK_TOL,
     DimVector,
     HermitianOperator,
     StateVector,
@@ -44,6 +43,10 @@ from .operators import (
 )
 
 _SQ3 = math.sqrt(3.0)
+#: eigenvalue threshold separating support from kernel
+RANK_TOL = 1e-9
+#: largest second eigenvalue of a single-site marginal of a product state
+_PRODUCT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,31 +93,30 @@ class ConeGenerators:
         return len(self.generators)
 
 
-def conclusive_subspace(ensemble: Ensemble, i: int, rank_tol: float = RANK_TOL) -> np.ndarray:
+def split_support(psd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) of the range and kernel of a PSD matrix, split at ``RANK_TOL``."""
+    vals, vecs = np.linalg.eigh((psd + psd.conj().T) / 2)
+    keep = vals > RANK_TOL
+    return vecs[:, keep], vecs[:, ~keep]
+
+
+def conclusive_subspace(ensemble: Ensemble, i: int) -> np.ndarray:
     """Orthonormal basis (columns) of the joint kernel of the other states.
 
     PSD operators supported here are exactly those with zero probability on
     every state except state ``i``; an empty basis means only the zero
-    operator qualifies.  Computed from one eigendecomposition of the sum of
-    the other states, whose kernel is the intersection of their kernels.
+    operator qualifies.  The joint kernel is the kernel of the sum of the
+    other states.
     """
     if not 0 <= i < ensemble.n:
         raise ValueError(f"state index {i} out of range")
-    total = np.zeros((ensemble.dims.total,) * 2, dtype=np.complex128)
-    for j, rho in enumerate(ensemble.states):
-        if j != i:
-            total += rho.matrix
-    total = (total + total.conj().T) / 2
-    w, v = np.linalg.eigh(total)
-    return np.ascontiguousarray(v[:, w <= rank_tol])
+    others = (rho.matrix for j, rho in enumerate(ensemble.states) if j != i)
+    _, kernel = split_support(sum(others, np.zeros((ensemble.dims.total,) * 2, dtype=np.complex128)))
+    return np.ascontiguousarray(kernel)
 
 
 def in_conclusive_dual(
-    op: HermitianOperator,
-    ensemble: Ensemble,
-    i: int,
-    tol: float = PSD_TOL,
-    rank_tol: float = RANK_TOL,
+    op: HermitianOperator, ensemble: Ensemble, i: int, tol: float = PSD_TOL
 ) -> tuple[bool, float]:
     """Dual-cone test against the conclusive cone of state ``i``.
 
@@ -123,7 +125,7 @@ def in_conclusive_dual(
     that compression to be PSD, which is exact because the cone is the full
     PSD cone over that subspace.
     """
-    basis = conclusive_subspace(ensemble, i, rank_tol)
+    basis = conclusive_subspace(ensemble, i)
     if basis.shape[1] == 0:
         return True, 0.0
     lo = min_eigenvalue(compress(op, basis))
@@ -221,9 +223,7 @@ def _canonical_cuts(sites: int) -> list[tuple[int, ...]]:
     return sorted(cuts)
 
 
-def ppt_check(
-    op: HermitianOperator, cut: Union[int, Iterable[int]], tol: float = PSD_TOL
-) -> bool:
+def ppt_check(op: HermitianOperator, cut: Union[int, Iterable[int]]) -> bool:
     """Positivity of the partial transpose across the cut.
 
     A False answer certifies that the operator is not separable; True is
@@ -234,7 +234,7 @@ def ppt_check(
     m = op.dims.sites
     if not chosen or len(chosen) >= m or any(not 0 <= k < m for k in chosen):
         raise ValueError(f"invalid cut {chosen} for {m} sites")
-    return min_eigenvalue(partial_transpose(op, chosen)) >= -tol
+    return min_eigenvalue(partial_transpose(op, chosen)) >= -PSD_TOL
 
 
 def _site_marginal(state: StateVector, site: int) -> np.ndarray:
@@ -244,13 +244,13 @@ def _site_marginal(state: StateVector, site: int) -> np.ndarray:
     return psi @ psi.conj().T
 
 
-def is_product_state(state: StateVector, tol: float = 1e-9) -> bool:
-    """True iff every single-site marginal is rank one within ``tol``."""
+def is_product_state(state: StateVector) -> bool:
+    """True iff every single-site marginal is rank one within ``_PRODUCT_TOL``."""
     for site, d in enumerate(state.dims.dims):
         if d == 1:
             continue
         spectrum = np.linalg.eigvalsh(_site_marginal(state, site))
-        if spectrum[-2] > tol:
+        if spectrum[-2] > _PRODUCT_TOL:
             return False
     return True
 
@@ -275,7 +275,6 @@ class ProductRayCertificate:
 def certify_unique_product_ray(
     v1: StateVector,
     v2: StateVector,
-    tol: float = 1e-9,
     samples: int = 10_000,
     seed: int = 0,
 ) -> ProductRayCertificate:
@@ -290,7 +289,7 @@ def certify_unique_product_ray(
     """
     if v1.dims != v2.dims:
         raise ValueError("state dimensions differ")
-    if not is_product_state(v1, tol):
+    if not is_product_state(v1):
         raise ValueError("first vector is not a product state")
     if abs(v1.overlap(v2)) > 1e-10:
         raise ValueError("vectors must be orthogonal")
@@ -306,13 +305,13 @@ def certify_unique_product_ray(
             marg = cross
         residual = max(residual, float(np.abs(marg).max()))
 
-    if is_product_state(v2, tol):
+    if is_product_state(v2):
         return ProductRayCertificate("not unique", residual, 0, (0.0 + 0.0j, 1.0 + 0.0j), seed)
-    if residual > tol:
+    if residual > _PRODUCT_TOL:
         return ProductRayCertificate("inconclusive", residual, 0, None, seed)
 
     rng = np.random.default_rng(seed)
-    floor = max(tol, 1e-3)
+    floor = 1e-3
     checked = 0
     for _ in range(samples):
         while True:
@@ -323,7 +322,7 @@ def certify_unique_product_ray(
                 break
         candidate = StateVector(c[0] * v1.amplitudes + c[1] * v2.amplitudes, v1.dims)
         checked += 1
-        if is_product_state(candidate, tol):
+        if is_product_state(candidate):
             return ProductRayCertificate(
                 "not unique", residual, checked, (complex(c[0]), complex(c[1])), seed
             )

@@ -21,6 +21,7 @@ import numpy as np
 
 from .jsonio import (
     SchemaError,
+    _is_int,
     dims_from_json,
     matrices_from_json,
     matrix_to_json,
@@ -195,13 +196,11 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def validate_ensemble(
-    ensemble: Ensemble, prior_tol: float = 1e-10, state_tol: float = PSD_TOL
-) -> ValidationReport:
+def validate_ensemble(ensemble: Ensemble) -> ValidationReport:
     """Report every violated ensemble invariant with its residual."""
     violations: list[Violation] = []
     total = sum(ensemble.priors)
-    if abs(total - 1.0) > prior_tol:
+    if abs(total - 1.0) > 1e-10:
         violations.append(Violation(f"priors sum {total:.12g}", abs(total - 1.0)))
     for k, (prior, rho) in enumerate(ensemble.items, start=1):
         if not math.isfinite(prior):
@@ -209,27 +208,27 @@ def validate_ensemble(
         elif prior <= 0:
             violations.append(Violation(f"prior {k} is {prior:.12g}, not positive", -prior))
         lo = min_eigenvalue(rho)
-        if not lo >= -state_tol:
+        if not lo >= -PSD_TOL:
             violations.append(Violation(f"state {k} not PSD (min eigenvalue {lo:.3e})", -lo))
         tr = rho.trace
-        if abs(tr - 1.0) > state_tol:
+        if abs(tr - 1.0) > PSD_TOL:
             violations.append(Violation(f"state {k} trace {tr:.12g}", abs(tr - 1.0)))
     return ValidationReport(tuple(violations))
 
 
-def validate_measurement(measurement: Measurement, tol: float = PSD_TOL) -> ValidationReport:
+def validate_measurement(measurement: Measurement) -> ValidationReport:
     violations: list[Violation] = []
     neg = measurement.psd_residual()
-    if not neg <= tol:
+    if not neg <= PSD_TOL:
         violations.append(Violation(f"element not PSD (violation {neg:.3e})", neg))
     comp = measurement.completeness_residual()
-    if not comp <= tol:
+    if not comp <= PSD_TOL:
         violations.append(Violation(f"elements do not sum to identity (residual {comp:.3e})", comp))
     for k, dec in enumerate(measurement.decompositions):
         if dec is None:
             continue
         res = dec.residual(measurement.elements[k])
-        if not res <= tol:
+        if not res <= PSD_TOL:
             violations.append(Violation(f"decomposition of element {k} off by {res:.3e}", res))
     return ValidationReport(tuple(violations))
 
@@ -505,7 +504,7 @@ def ensemble_from_dict(data: Any, source: str = "ensemble") -> Ensemble:
         if not isinstance(entry, dict):
             raise SchemaError(f"{source}.states[{k}]: expected an object")
         prior = entry.get("prior")
-        if not isinstance(prior, (int, float)) or not abs(prior) <= sys.float_info.max:
+        if isinstance(prior, bool) or not isinstance(prior, (int, float)) or not abs(prior) <= sys.float_info.max:
             raise SchemaError(f"{source}.states[{k}].prior: expected a finite number")
         priors.append(float(prior))
         states.append(operator_from_json(entry.get("matrix"), dims, f"{source}.states[{k}].matrix"))
@@ -556,18 +555,26 @@ def _protocol_from_json(data: Any, field_name: str) -> LoccProtocol:
     if not isinstance(raw_povms, list) or not raw_povms:
         raise SchemaError(f"{field_name}.site_povms: expected a non-empty list")
     povms = [matrices_from_json(povm, f"{field_name}.site_povms[{k}]") for k, povm in enumerate(raw_povms)]
+    raw_assignment = data.get("assignment", [])
+    if not isinstance(raw_assignment, list):
+        raise SchemaError(f"{field_name}.assignment: expected a list of [outcome, element] pairs")
     assignment = {}
-    for pair in data.get("assignment", []):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not isinstance(pair[0], list)
-            or not isinstance(pair[1], int)
+    for a, pair in enumerate(raw_assignment):
+        where = f"{field_name}.assignment[{a}]"
+        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], list):
+            raise SchemaError(f"{where}: expected an [outcome, element] pair")
+        outcome, element = pair
+        if len(outcome) != len(povms) or not all(
+            _is_int(i) and 0 <= i < len(povm) for i, povm in zip(outcome, povms)
         ):
-            raise SchemaError(f"{field_name}.assignment: expected [outcome, element] pairs")
-        assignment[tuple(int(i) for i in pair[0])] = pair[1]
+            raise SchemaError(f"{where}[0]: expected one local outcome index per site, within its POVM")
+        if tuple(outcome) in assignment:
+            raise SchemaError(f"{where}[0]: outcome {outcome} is assigned twice")
+        if not _is_int(element):
+            raise SchemaError(f"{where}[1]: expected an integer element index")
+        assignment[tuple(outcome)] = element
     default = data.get("default_element", 0)
-    if not isinstance(default, int):
+    if not _is_int(default):
         raise SchemaError(f"{field_name}.default_element: expected an integer")
     return LoccProtocol(str(desc), tuple(povms), assignment, default)
 

@@ -64,8 +64,13 @@ def operator_from_json(data: Any, dims: DimVector, field: str) -> HermitianOpera
         raise SchemaError(f"{field}: {exc}") from exc
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``int`` but not ``bool``, which subclasses it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def dims_from_json(data: Any, field: str = "dims") -> DimVector:
-    if not isinstance(data, list) or not data or not all(isinstance(d, int) and d > 0 for d in data):
+    if not isinstance(data, list) or not data or not all(_is_int(d) and d > 0 for d in data):
         raise SchemaError(f"{field}: expected a list of positive integers")
     return DimVector(tuple(data))
 

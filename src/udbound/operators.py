@@ -17,8 +17,6 @@ import numpy as np
 HERMITICITY_LIMIT = 1e-8
 #: default eigenvalue threshold for positive-semidefiniteness tests
 PSD_TOL = 1e-9
-#: default eigenvalue threshold separating support from kernel
-RANK_TOL = 1e-9
 
 _ORTHONORMAL_TOL = 1e-10
 _UNIT_NORM_TOL = 1e-10

@@ -8,7 +8,7 @@ dominates each weighted state on K_i; the separable-bound program
 minimizes the trace of a PSD operator H whose pairing with every cone
 generator dominates the weighted state's.
 
-Each program is posed, through one isometry helper, on the space its
+Each program is posed, through ``cones.split_support``, on the space its
 constraints can see, and both sizings are exact:
 
 - global and certificate programs: on the ensemble support
@@ -26,17 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import ConeGenerators, conclusive_subspace
+from .cones import ConeGenerators, conclusive_subspace, split_support
 from .ensembles import Ensemble, Measurement
-from .operators import RANK_TOL, HermitianOperator
+from .operators import HermitianOperator
 from .solver import Block, ConicProgram, Constraint, SolveReport, hermitian_basis, smat, solve
-
-
-def _span(psd: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns) of the range and kernel of a PSD matrix, split at ``tol``."""
-    vals, vecs = np.linalg.eigh((psd + psd.conj().T) / 2)
-    keep = vals > tol
-    return vecs[:, keep], vecs[:, ~keep]
 
 
 def _matrix_equality(target: np.ndarray, terms: dict[str, float | np.ndarray]) -> list[Constraint]:
@@ -52,7 +45,7 @@ def _matrix_equality(target: np.ndarray, terms: dict[str, float | np.ndarray]) -
     return constraints
 
 
-def _conclusive_data(ensemble: Ensemble, rank_tol: float):
+def _conclusive_data(ensemble: Ensemble):
     """No-error subspaces K_i ∩ S of the ensemble support S, and their joint span.
 
     Returns the isometry from joint-span coordinates into the full space
@@ -60,18 +53,18 @@ def _conclusive_data(ensemble: Ensemble, rank_tol: float):
     in joint-span coordinates and the weighted state compressed onto it.
     """
     states = [rho.matrix for rho in ensemble.states]
-    support, _ = _span(sum(states), rank_tol)
+    support, _ = split_support(sum(states))
     if support.shape[1] == ensemble.dims.total:  # S is everything: keep the sparser standard basis
         support = np.eye(ensemble.dims.total)
     else:
         states = [support.conj().T @ rho @ support for rho in states]
     kernels = {}
     for i in range(ensemble.n):
-        _, kernel = _span(sum((s for j, s in enumerate(states) if j != i), np.zeros_like(states[i])), rank_tol)
+        _, kernel = split_support(sum((s for j, s in enumerate(states) if j != i), np.zeros_like(states[i])))
         if kernel.shape[1]:
             kernels[i] = kernel
     q, r = np.linalg.qr(np.hstack([np.zeros((support.shape[1], 0))] + list(kernels.values())))
-    joint = q @ _span(r @ r.conj().T, rank_tol)[0]
+    joint = q @ split_support(r @ r.conj().T)[0]
     data = {
         i: (support @ k, joint.conj().T @ k, ensemble.priors[i] * (k.conj().T @ states[i] @ k))
         for i, k in kernels.items()
@@ -93,7 +86,6 @@ def solve_global(
     tol: float = 1e-7,
     max_iter: int = 200_000,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> SolveReport:
     """Optimal unambiguous success probability with measurement and certificate.
 
@@ -105,7 +97,7 @@ def solve_global(
     report's ``blocks`` are in the coordinates of the compressed program.
     """
     dims = ensemble.dims
-    lift, data = _conclusive_data(ensemble, rank_tol)
+    lift, data = _conclusive_data(ensemble)
     w = lift.shape[1]
     report = _zero_report(ensemble, tol, seed)
     if data:
@@ -134,13 +126,7 @@ def solve_global(
     return report
 
 
-def solve_global_certificate(
-    ensemble: Ensemble,
-    tol: float = 1e-7,
-    max_iter: int = 200_000,
-    seed: int = 0,
-    rank_tol: float = RANK_TOL,
-) -> tuple[HermitianOperator, float]:
+def solve_global_certificate(ensemble: Ensemble, tol: float = 1e-7) -> tuple[HermitianOperator, float]:
     """Trace-minimal certificate solved on its own, without the measurement.
 
     Minimizes the trace of a PSD operator whose compression onto each
@@ -148,7 +134,7 @@ def solve_global_certificate(
     its trace equals the optimal success probability.
     """
     dims = ensemble.dims
-    lift, data = _conclusive_data(ensemble, rank_tol)
+    lift, data = _conclusive_data(ensemble)
     if not data:
         return HermitianOperator(np.zeros((dims.total,) * 2), dims), 0.0
 
@@ -158,7 +144,7 @@ def solve_global_certificate(
     for i, (_, reduced, target) in data.items():
         constraints += _matrix_equality(target, {"k": reduced.conj().T, f"y{i}": -1.0})
     program = ConicProgram(tuple(blocks), {"k": np.eye(w)}, tuple(constraints), sense="min")
-    report = solve(program, tol=tol, max_iter=max_iter, seed=seed)
+    report = solve(program, tol=tol)
     certificate = HermitianOperator(lift @ report.blocks["k"] @ lift.conj().T, dims)
     return certificate, report.value
 
@@ -169,7 +155,6 @@ def solve_separable_bound(
     tol: float = 1e-7,
     max_iter: int = 200_000,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> SolveReport:
     """Upper bound on the locally attainable success probability.
 
@@ -191,10 +176,10 @@ def solve_separable_bound(
         if cone.dims != dims:
             raise ValueError(f"cone {k} dims {cone.dims.dims} do not match ensemble {dims.dims}")
 
-    fallback = {i: conclusive_subspace(ensemble, i, rank_tol) for i, cone in enumerate(cones) if not len(cone)}
+    fallback = {i: conclusive_subspace(ensemble, i) for i, cone in enumerate(cones) if not len(cone)}
     generators = [[gen.matrix / np.linalg.norm(gen.matrix) for gen in cone.generators] for cone in cones]
     cover = [g for gens in generators for g in gens] + [b @ b.conj().T for b in fallback.values()]
-    support, _ = _span(sum(cover, np.zeros((dims.total,) * 2)), rank_tol)
+    support, _ = split_support(sum(cover, np.zeros((dims.total,) * 2)))
     w = support.shape[1]
     if not w:
         return _zero_report(ensemble, tol, seed)

@@ -24,7 +24,6 @@ from .cones import (
 from .ensembles import Ensemble, Measurement
 from .operators import (
     HermitianOperator,
-    RANK_TOL,
     hs_inner,
     min_eigenvalue,
     nan_max,
@@ -117,7 +116,6 @@ def verify_optimality(
     measurement: Measurement,
     certificate: HermitianOperator,
     tol: float = 1e-8,
-    rank_tol: float = RANK_TOL,
 ) -> VerificationReport:
     """Joint optimality of an unambiguous measurement and its certificate.
 
@@ -135,7 +133,7 @@ def verify_optimality(
     detail_d: dict[str, float] = {}
     for i, (prior, rho) in enumerate(ensemble.items):
         shifted = certificate - prior * rho
-        _, lo = in_conclusive_dual(shifted, ensemble, i, tol, rank_tol)
+        _, lo = in_conclusive_dual(shifted, ensemble, i, tol)
         detail_c[f"i={i + 1}"] = nan_max((0.0, -lo))
         detail_d[f"i={i + 1}"] = abs(hs_inner(measurement.elements[i + 1], shifted))
     residuals = {
@@ -251,6 +249,10 @@ def _protocol_residual(measurement: Measurement, tol: float) -> float:
     protocol = measurement.locc_protocol
     if protocol is None:
         raise PrecheckError("LOCC protocol descriptor missing")
+    for k, povm in enumerate(protocol.site_povms):
+        shapes = sorted({el.shape for el in povm})
+        if len(shapes) != 1:  # one shape per site; kron_sum checks it against the site side
+            raise ProtocolError(f"local POVM at site {k} needs one element shape, has {shapes}")
     for k, resid in enumerate(protocol.local_completeness_residuals()):
         if not resid <= tol:
             raise ProtocolError(f"local POVM at site {k} incomplete (residual {resid:.3e})")

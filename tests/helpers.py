@@ -12,6 +12,7 @@ from udbound import (
     Measurement,
     SeparableDecomposition,
     StateVector,
+    basis_state,
 )
 
 
@@ -49,6 +50,16 @@ def random_ensemble(rng, dims, n) -> Ensemble:
     return Ensemble(DimVector(tuple(dims)), priors, states)
 
 
+def nested_support_ensemble() -> Ensemble:
+    """|00>, |01> and their even mixture: every state's support lies inside the others'."""
+    dims = DimVector((2, 2))
+    e0, e1 = basis_state(dims, (0, 0)), basis_state(dims, (0, 1))
+    plus = StateVector.normalized(e0.amplitudes + e1.amplitudes, dims)
+    minus = StateVector.normalized(e0.amplitudes - e1.amplitudes, dims)
+    mixed = HermitianOperator((plus.projector().matrix + minus.projector().matrix) / 2, dims)
+    return Ensemble(dims, (0.4, 0.4, 0.2), (e0.projector(), e1.projector(), mixed))
+
+
 def forged_global_as_separable(ensemble, fixtures):
     """The entangled global measurement, each element claimed as a one-term product."""
     g = fixtures.global_measurement
@@ -62,6 +73,15 @@ def forged_global_as_protocol(ensemble, fixtures):
     site_povms = (tuple(el.matrix for el in g.elements), (np.eye(1),))
     protocol = LoccProtocol("forged", site_povms, {(k, 0): k for k in range(len(g.elements))})
     return Measurement(ensemble.dims, g.elements, locc_protocol=protocol)
+
+
+def mixed_shape_protocol(ensemble, fixtures):
+    """The example1 LOCC measurement with one site-0 POVM element widened to 3x3."""
+    locc = fixtures.locc_measurement
+    protocol = locc.locc_protocol
+    site0 = protocol.site_povms[0][:2] + (np.eye(3) / 3,)
+    mixed = LoccProtocol(protocol.description, (site0, protocol.site_povms[1]), protocol.assignment)
+    return Measurement(ensemble.dims, locc.elements, locc_protocol=mixed)
 
 
 def idp_oracle(psi1: StateVector, psi2: StateVector, prior1: float) -> float:

@@ -4,10 +4,11 @@ import math
 import pytest
 
 from udbound import load_certificate, save_certificate, save_ensemble, save_measurement
+from udbound.jsonio import write_json
 from udbound.cli import main
-from udbound.ensembles import build_example1, build_two_pure
+from udbound.ensembles import build_example1, build_two_pure, measurement_to_dict
 from udbound.operators import StateVector, basis_state
-from helpers import forged_global_as_protocol, forged_global_as_separable
+from helpers import forged_global_as_protocol, forged_global_as_separable, mixed_shape_protocol
 
 
 @pytest.fixture()
@@ -226,6 +227,36 @@ class TestVerifyCommand:
         assert code == 2
         assert "term 0 has factor shapes [(4, 4), (1, 1)], expected sides (2, 2)" in capsys.readouterr().err
 
+    def _cor3(self, files, measurement):
+        return main(
+            [
+                "verify",
+                "cor3",
+                "--ensemble",
+                str(files["ensemble"]),
+                "--measurement",
+                str(measurement),
+                "--certificate",
+                str(files["sep_certificate"]),
+                "--cones",
+                str(files["cones"]),
+            ]
+        )
+
+    def test_mixed_povm_element_shapes_are_input_error(self, example1_files, tmp_path, capsys):
+        mixed = tmp_path / "mixed.json"
+        save_measurement(mixed_shape_protocol(*build_example1()), mixed)
+        assert self._cor3(example1_files, mixed) == 2
+        assert "local POVM at site 0 needs one element shape, has [(2, 2), (3, 3)]" in capsys.readouterr().err
+
+    def test_boolean_assignment_element_is_input_error(self, example1_files, tmp_path, capsys):
+        payload = measurement_to_dict(build_example1()[1].locc_measurement)
+        payload["locc_protocol"]["assignment"][0][1] = True
+        bad = tmp_path / "bad.json"
+        write_json(bad, payload)
+        assert self._cor3(example1_files, bad) == 2
+        assert "locc_protocol.assignment[0][1]: expected an integer element index" in capsys.readouterr().err
+
     def test_malformed_certificate(self, example1_files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dims": [2, 2], "matrix": "nope"}')
@@ -265,6 +296,30 @@ class TestTableCommand:
         monkeypatch.setenv("UDBOUND_DIM_CAP", "8")
         assert main(["table", "--d-min", "3", "--d-max", "3"]) == 2
         assert "exceeds cap" in capsys.readouterr().err
+
+
+# Flags no subcommand read, and the csv format, which printed text: each is now a usage error.
+_REMOVED_FLAGS = {
+    "example1": (["example1"], [["--tol", "1e-8"], ["--seed", "1"], ["--max-iter", "5"], ["--d", "3"], ["--format", "csv"]]),
+    "example2": (["example2", "--d", "3"], [["--tol", "1e-8"], ["--seed", "1"], ["--max-iter", "5"], ["--format", "csv"]]),
+    "solve": (["solve", "global", "--ensemble", "missing.json"], [["--format", "csv"]]),
+    "verify": (["verify", "prop1", "--ensemble", "missing.json"], [["--format", "csv"]]),
+    "table": (["table", "--d-min", "3", "--d-max", "3"], [["--format", "csv"], ["--format", "text"]]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REMOVED_FLAGS))
+def test_removed_flags_are_usage_errors(command, tmp_path, capsys):
+    base, removed = _REMOVED_FLAGS[command]
+    for flag in removed:
+        argv = base + (["--out", str(tmp_path)] if command.startswith("example") else []) + flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: udbound ")
+        assert "unrecognized arguments" in err or "invalid choice: 'csv'" in err, (flag, err)
+    assert not list(tmp_path.iterdir())
 
 
 class TestDeterminism:

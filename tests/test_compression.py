@@ -13,8 +13,6 @@ from udbound import (
     DimVector,
     Ensemble,
     HermitianOperator,
-    StateVector,
-    basis_state,
     build_example1,
     build_example2,
     example_cone_generators,
@@ -23,7 +21,7 @@ from udbound import (
     solve_separable_bound,
     verify_optimality,
 )
-from helpers import random_state_vector
+from helpers import nested_support_ensemble, random_state_vector
 
 
 def _embed(op: HermitianOperator, dims: DimVector) -> HermitianOperator:
@@ -38,13 +36,7 @@ def _block_sides(report) -> dict[str, int]:
 
 
 def test_states_inside_the_others_support_are_never_conclusive():
-    dims = DimVector((2, 2))
-    e0, e1 = basis_state(dims, (0, 0)), basis_state(dims, (0, 1))
-    plus = StateVector.normalized(e0.amplitudes + e1.amplitudes, dims)
-    minus = StateVector.normalized(e0.amplitudes - e1.amplitudes, dims)
-    mixed = HermitianOperator((plus.projector().matrix + minus.projector().matrix) / 2, dims)
-    ensemble = Ensemble(dims, (0.4, 0.4, 0.2), (e0.projector(), e1.projector(), mixed))
-    report = solve_global(ensemble, tol=1e-8)
+    report = solve_global(nested_support_ensemble(), tol=1e-8)
     assert report.status == "optimal"
     assert report.value == 0.0
     assert report.iterations == 0

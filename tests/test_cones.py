@@ -29,8 +29,9 @@ from udbound import (
     ppt_check,
     tensor,
 )
+from udbound.cones import RANK_TOL
 from udbound.jsonio import matrix_to_json, write_json
-from helpers import random_psd
+from helpers import nested_support_ensemble, random_ensemble, random_psd
 
 SQ3 = math.sqrt(3.0)
 PSI_M = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -62,6 +63,39 @@ class TestConclusiveSubspace:
     def test_orthogonal_pure_pair(self):
         ensemble = build_two_pure(basis_state((2, 2), (0, 0)), basis_state((2, 2), (1, 1)), 0.5)
         assert conclusive_subspace(ensemble, 0).shape == (4, 3)
+
+
+def _reference_conclusive_subspace(ensemble, i):
+    """The body of ``conclusive_subspace`` before it called ``split_support``."""
+    total = np.zeros((ensemble.dims.total,) * 2, dtype=np.complex128)
+    for j, rho in enumerate(ensemble.states):
+        if j != i:
+            total += rho.matrix
+    total = (total + total.conj().T) / 2
+    w, v = np.linalg.eigh(total)
+    return np.ascontiguousarray(v[:, w <= RANK_TOL])
+
+
+_SPLIT_CASES = {
+    "example1": lambda: build_example1()[0],
+    "example2_d3": lambda: build_example2(3)[0],
+    "example2_d4": lambda: build_example2(4)[0],
+    "nested_support": nested_support_ensemble,
+    **{
+        f"random_{len(dims)}q_seed{seed}": (
+            lambda dims=dims, seed=seed: random_ensemble(np.random.default_rng(seed), dims, 2 + seed % 3)
+        )
+        for dims in ((2, 2), (2, 2, 2))
+        for seed in range(6)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_conclusive_subspace_matches_the_pre_split_body_bit_for_bit(case):
+    ensemble = _SPLIT_CASES[case]()
+    for i in range(ensemble.n):
+        assert conclusive_subspace(ensemble, i).tobytes() == _reference_conclusive_subspace(ensemble, i).tobytes()
 
 
 class TestInConclusiveDual:

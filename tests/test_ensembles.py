@@ -21,6 +21,7 @@ from udbound import (
     validate_ensemble,
     validate_measurement,
 )
+from udbound.ensembles import ensemble_from_dict, ensemble_to_dict, measurement_from_dict, measurement_to_dict
 
 
 class TestValidation:
@@ -227,3 +228,78 @@ class TestJsonRoundTrip:
         write_json(path, {"dims": [2, 2], "states": [{"prior": "x", "matrix": []}]})
         with pytest.raises(SchemaError, match=r"states\[0\].prior"):
             load_ensemble(path)
+
+
+class TestStrictFields:
+    """JSON booleans, strings and floats are not integers, and an assignment is a
+    list of distinct in-range outcomes; each error names its field."""
+
+    @staticmethod
+    def _one_state_payload():
+        dims = DimVector((2, 2))
+        return ensemble_to_dict(Ensemble(dims, (1.0,), (basis_state(dims, (0, 0)).projector(),)))
+
+    @staticmethod
+    def _protocol_payload():
+        return measurement_to_dict(build_example1()[1].locc_measurement)
+
+    @pytest.mark.parametrize("dims", [[2, True, 2], [True, 2, 2], [2.0, 2], ["2", 2]])
+    def test_dims(self, dims):
+        payload = self._one_state_payload()
+        payload["dims"] = dims
+        with pytest.raises(SchemaError, match=r"^ensemble\.dims: expected a list of positive integers"):
+            ensemble_from_dict(payload)
+
+    @pytest.mark.parametrize("prior", [True, False, "1", None])
+    def test_prior(self, prior):
+        payload = self._one_state_payload()
+        payload["states"][0]["prior"] = prior
+        with pytest.raises(SchemaError, match=r"^ensemble\.states\[0\]\.prior: expected a finite number"):
+            ensemble_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "outcome, entry",
+        [
+            (["1", 2.7], 0),
+            (["1", 2], 0),
+            ([1, 2.0], 0),
+            ([True, 0], 0),
+            ([0], 0),
+            ([0, 0, 0], 0),
+            ([3, 0], 0),  # each site's POVM has 3 elements
+            ([0, -1], 0),
+            ("repeat", 1),
+        ],
+    )
+    def test_assignment_outcome(self, outcome, entry):
+        payload = self._protocol_payload()
+        assignment = payload["locc_protocol"]["assignment"]
+        assignment[entry][0] = list(assignment[0][0]) if outcome == "repeat" else outcome
+        with pytest.raises(SchemaError, match=rf"^measurement\.locc_protocol\.assignment\[{entry}\]\[0\]: "):
+            measurement_from_dict(payload)
+
+    @pytest.mark.parametrize("assignment", [5, {}, "01"])
+    def test_assignment_is_a_list(self, assignment):
+        payload = self._protocol_payload()
+        payload["locc_protocol"]["assignment"] = assignment
+        with pytest.raises(SchemaError, match=r"^measurement\.locc_protocol\.assignment: expected a list"):
+            measurement_from_dict(payload)
+
+    @pytest.mark.parametrize("element", [True, False, 1.0, "1", None])
+    def test_assignment_element(self, element):
+        payload = self._protocol_payload()
+        payload["locc_protocol"]["assignment"][0][1] = element
+        with pytest.raises(SchemaError, match=r"^measurement\.locc_protocol\.assignment\[0\]\[1\]: "):
+            measurement_from_dict(payload)
+
+    @pytest.mark.parametrize("default", [True, False, 0.0, "0"])
+    def test_default_element(self, default):
+        payload = self._protocol_payload()
+        payload["locc_protocol"]["default_element"] = default
+        with pytest.raises(SchemaError, match=r"^measurement\.locc_protocol\.default_element: expected an integer"):
+            measurement_from_dict(payload)
+
+    def test_valid_protocol_still_loads(self):
+        payload = self._protocol_payload()
+        loaded = measurement_from_dict(payload)
+        assert loaded.locc_protocol.assignment == build_example1()[1].locc_measurement.locc_protocol.assignment

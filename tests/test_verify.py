@@ -36,7 +36,7 @@ from udbound import (
     verify_optimality,
     verify_separable_certificate,
 )
-from helpers import forged_global_as_protocol, forged_global_as_separable, random_psd
+from helpers import forged_global_as_protocol, forged_global_as_separable, mixed_shape_protocol, random_psd
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +268,21 @@ class TestForgedProductStructure:
         forged = forged_global_as_protocol(ensemble, fixtures)
         with pytest.raises(ProtocolError, match=r"term 0 has factor shapes \[\(4, 4\), \(1, 1\)\]"):
             verify_locc_equality(ensemble, forged, fixtures.global_certificate, cones)
+
+
+def test_mixed_povm_element_shapes_name_the_site(example1):
+    ensemble, fixtures, cones = example1
+    mixed = mixed_shape_protocol(ensemble, fixtures)
+    with pytest.raises(ProtocolError, match=r"local POVM at site 0 needs one element shape, has \[\(2, 2\), \(3, 3\)\]"):
+        verify_locc_equality(ensemble, mixed, fixtures.sep_certificate, cones)
+
+
+def test_empty_site_povm_names_the_site(example1):
+    ensemble, fixtures, cones = example1
+    empty = LoccProtocol("empty site 1", (fixtures.locc_measurement.locc_protocol.site_povms[0], ()))
+    measurement = Measurement(ensemble.dims, fixtures.locc_measurement.elements, locc_protocol=empty)
+    with pytest.raises(ProtocolError, match=r"local POVM at site 1 needs one element shape, has \[\]"):
+        verify_locc_equality(ensemble, measurement, fixtures.sep_certificate, cones)
 
 
 class TestExample2D5:
