@@ -551,6 +551,8 @@ def _protocol_from_json(data: Any, field_name: str) -> LoccProtocol:
     if not isinstance(data, dict):
         raise SchemaError(f"{field_name}: expected an object")
     desc = data.get("description", "")
+    if not isinstance(desc, str):
+        raise SchemaError(f"{field_name}.description: expected a string")
     raw_povms = data.get("site_povms")
     if not isinstance(raw_povms, list) or not raw_povms:
         raise SchemaError(f"{field_name}.site_povms: expected a non-empty list")
@@ -576,7 +578,7 @@ def _protocol_from_json(data: Any, field_name: str) -> LoccProtocol:
     default = data.get("default_element", 0)
     if not _is_int(default):
         raise SchemaError(f"{field_name}.default_element: expected an integer")
-    return LoccProtocol(str(desc), tuple(povms), assignment, default)
+    return LoccProtocol(desc, tuple(povms), assignment, default)
 
 
 def measurement_to_dict(measurement: Measurement) -> dict:

@@ -7,9 +7,13 @@ arrays and validated operators; the other file formats decode their
 matrices through ``operator_from_json`` and ``matrices_from_json``.
 
 Every JSON text the package writes comes from ``dumps``, which reproduces
-``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte.  With an
-indent the stdlib runs its pure-Python encoder; ``dumps`` instead encodes
-each number list once with the C encoder and re-indents the compact text.
+``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, with each
+matrix leaf written as its nested lists would be.  ``matrix_to_json``
+returns a float64 (r, c, 2) array, not lists: ``dumps`` writes a pair
+whose parts are both +0.0 as one constant string per indent level, and
+every other pair from one C-encoder pass over the nonzero parts.  Number
+lists (a payload read back from a file) are encoded once with the C
+encoder and the compact text is re-indented.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ class SchemaError(ValueError):
     """A file does not match the expected schema; the message names the field."""
 
 
-def matrix_to_json(mat: np.ndarray) -> list:
+def matrix_to_json(mat: np.ndarray) -> np.ndarray:
+    """The float64 (r, c, 2) array of [re, im] pairs; ``dumps`` writes it as nested lists."""
     mat = np.asarray(mat, dtype=np.complex128)
-    return np.stack((mat.real, mat.imag), axis=-1).tolist()
+    return np.stack((mat.real, mat.imag), axis=-1)
 
 
 def matrix_from_json(data: Any, field: str) -> np.ndarray:
@@ -127,8 +132,42 @@ def _write(obj: Any, newline: str, out) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out(newline + "]")
+    elif isinstance(obj, np.ndarray):
+        _write_matrix(obj, newline, out)
     else:
         out(_encode(obj))
+
+
+def _write_matrix(arr: np.ndarray, newline: str, out) -> None:
+    """Append the indented text of ``arr.tolist()`` for a float64 (r, c, 2) array.
+
+    A pair of two +0.0 (by bit pattern, so -0.0 is not zero) is one
+    constant string.  The nonzero pairs' parts go through the C encoder as
+    one flat list, which prints ``float.__repr__`` and NaN/Infinity as
+    ``json.dumps`` does, and builds no list per pair.
+    """
+    if arr.dtype != np.float64 or arr.ndim != 3 or arr.shape[2] != 2:
+        raise TypeError(f"an array leaf must be float64 of shape (r, c, 2), not {arr.dtype} {arr.shape}")
+    if not arr.size:
+        _write(arr.tolist(), newline, out)
+        return
+    rows, cols, _ = arr.shape
+    p0, p1, p2, p3 = (newline + "  " * t for t in range(4))
+    pairs = arr.reshape(-1, 2)
+    nonzero = np.flatnonzero(pairs.view(np.uint64).any(axis=1))
+    # each cell carries its own leading newline, so the cells join with ","
+    cells = [p2 + "[" + p3 + "0.0," + p3 + "0.0" + p2 + "]"] * (rows * cols)
+    if nonzero.size:
+        parts = _encode(pairs[nonzero].ravel().tolist())[1:-1].split(", ")
+        pair = (p2 + "[" + p3 + "{}," + p3 + "{}" + p2 + "]").format
+        for k, text in zip(nonzero.tolist(), map(pair, parts[0::2], parts[1::2])):
+            cells[k] = text
+    for first in range(0, rows * cols, cols):
+        cells[first] = p1 + "[" + cells[first]
+        cells[first + cols - 1] += p1 + "]"
+    out("[")
+    out(",".join(cells))
+    out(p0 + "]")
 
 
 def _reindent(obj: Union[list, tuple], newline: str) -> Union[str, None]:
@@ -139,14 +178,18 @@ def _reindent(obj: Union[list, tuple], newline: str) -> Union[str, None]:
     becomes its indented form, deepest first since a shallower separator
     is a substring of a deeper one.  Strings (which may hold brackets or
     ", "), empty lists (printed "[]") and ragged depth leave a bracket or
-    quote behind and fall back to the walk.
+    quote behind and fall back to the walk, as does a list holding an array
+    leaf, which the C encoder rejects.
     """
     first = obj
     while isinstance(first, (list, tuple)) and first:
         first = first[0]
-    if isinstance(first, (str, dict)):
+    if isinstance(first, (str, dict, np.ndarray)):
         return None
-    text = _encode(obj)
+    try:
+        text = _encode(obj)
+    except TypeError:
+        return None
     k = len(text) - len(text.lstrip("["))
     if '"' in text or "[]" in text or not text.endswith("]" * k):
         return None

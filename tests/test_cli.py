@@ -257,6 +257,14 @@ class TestVerifyCommand:
         assert self._cor3(example1_files, bad) == 2
         assert "locc_protocol.assignment[0][1]: expected an integer element index" in capsys.readouterr().err
 
+    def test_non_string_protocol_description_is_input_error(self, example1_files, tmp_path, capsys):
+        payload = measurement_to_dict(build_example1()[1].locc_measurement)
+        payload["locc_protocol"]["description"] = [1, None]
+        bad = tmp_path / "bad.json"
+        write_json(bad, payload)
+        assert self._cor3(example1_files, bad) == 2
+        assert "locc_protocol.description: expected a string" in capsys.readouterr().err
+
     def test_malformed_certificate(self, example1_files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dims": [2, 2], "matrix": "nope"}')

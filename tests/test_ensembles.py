@@ -299,6 +299,18 @@ class TestStrictFields:
         with pytest.raises(SchemaError, match=r"^measurement\.locc_protocol\.default_element: expected an integer"):
             measurement_from_dict(payload)
 
+    @pytest.mark.parametrize("description", [[1, None], None, 3, True, {"text": "x"}])
+    def test_protocol_description(self, description):
+        payload = self._protocol_payload()
+        payload["locc_protocol"]["description"] = description
+        with pytest.raises(SchemaError, match=r"^measurement\.locc_protocol\.description: expected a string$"):
+            measurement_from_dict(payload)
+
+    def test_missing_protocol_description_is_empty(self):
+        payload = self._protocol_payload()
+        del payload["locc_protocol"]["description"]
+        assert measurement_from_dict(payload).locc_protocol.description == ""
+
     def test_valid_protocol_still_loads(self):
         payload = self._protocol_payload()
         loaded = measurement_from_dict(payload)

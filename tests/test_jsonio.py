@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udbound import (
+    ConeGenerators,
     DimVector,
     Ensemble,
     HermitianOperator,
@@ -25,12 +26,14 @@ from udbound import (
     load_certificate,
     load_measurement,
     solve_global,
+    solve_separable_bound,
     validate_ensemble,
     verify_optimality,
     verify_separable_certificate,
 )
 from udbound.cli import main
 from udbound.jsonio import dumps, matrix_from_json, matrix_to_json, read_json, write_json
+from helpers import random_ensemble
 
 # sha256 of the files written by `udbound example1` and `udbound example2 --d 3|4`.
 # The fixtures are closed forms (outer and Kronecker products of exact
@@ -124,6 +127,64 @@ JSON_TREES = st.recursive(
 )
 
 
+def listify(tree):
+    """The payload with every array leaf replaced by its ``tolist()``."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {key: listify(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [listify(item) for item in tree]
+    return tree
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1.79e308, -1.79e308]
+PARTS = st.one_of(st.sampled_from([*EDGE, math.nan, math.inf, -math.inf]), st.floats(width=64))
+
+
+@st.composite
+def matrix_leaves(draw):
+    """(r, c, 2) float64 leaves: all-zero, fully dense or mixed, in several memory layouts."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    fill = draw(st.sampled_from(["zero", "dense", "mixed"]))
+    size = 2 * rows * cols
+    if fill == "zero":
+        parts = [0.0] * size
+    else:
+        parts = draw(st.lists(PARTS, min_size=size, max_size=size))
+        if fill == "dense":  # no pair is two +0.0
+            parts[0::2] = [-0.0 if x == 0 else x for x in parts[0::2]]
+    mat = np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+    layout = draw(st.sampled_from(["C", "F", "strided", "raw F", "raw strided"]))
+    if layout == "F":
+        return matrix_to_json(np.asfortranarray(mat))
+    if layout == "strided":
+        return matrix_to_json(np.repeat(np.repeat(mat, 2, axis=0), 3, axis=1)[::2, ::3])
+    if layout == "raw F":  # array leaves that did not come from matrix_to_json
+        return np.asfortranarray(matrix_to_json(mat))
+    if layout == "raw strided":
+        return np.repeat(matrix_to_json(mat), 2, axis=1)[:, ::2]
+    return matrix_to_json(mat)
+
+
+# matrices as dict values, in lists (site POVMs) and in lists of lists (decomposition terms)
+MATRIX_TREES = st.recursive(
+    st.one_of(
+        matrix_leaves(),
+        st.lists(matrix_leaves(), min_size=1, max_size=3),
+        st.lists(st.lists(matrix_leaves(), min_size=1, max_size=3), min_size=1, max_size=3),
+        LEAVES,
+        uniform_number_lists(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.one_of(TRICKY_STRINGS, st.text(max_size=6)), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
 class TestWriter:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(JSON_TREES)
@@ -136,6 +197,31 @@ class TestWriter:
     @example([[1, "x], [y"], [2, "a, b"]])
     def test_matches_json_dumps(self, obj):
         assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(MATRIX_TREES)
+    @example({"m": np.zeros((3, 3, 2)), "n": [[np.zeros((1, 1, 2))]]})
+    @example([1.5, np.array([[[math.nan, -0.0]], [[math.inf, -math.inf]]])])
+    @example({"empty": [np.zeros((0, 3, 2)), np.zeros((2, 0, 2))]})
+    def test_array_leaves_match_json_dumps_of_lists(self, tree):
+        assert dumps(tree) == json.dumps(listify(tree), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [
+            np.zeros((2, 2)),
+            np.zeros((2, 2, 3)),
+            np.zeros((1, 2, 2, 2)),
+            np.zeros(2),
+            np.zeros((2, 2, 2), dtype=np.float32),
+            np.zeros((2, 2, 2), dtype=np.int64),
+            np.zeros((2, 2), dtype=np.complex128),
+        ],
+    )
+    @pytest.mark.parametrize("wrap", [lambda a: a, lambda a: {"m": a}, lambda a: [a], lambda a: [[0.5], [a]]])
+    def test_other_arrays_raise_type_error(self, leaf, wrap):
+        with pytest.raises(TypeError):
+            dumps(wrap(leaf))
 
     @pytest.mark.parametrize("obj", [{1: "a", 2.5: "b"}, {True: 1, False: 2}, {None: 2}, {math.nan: 0}])
     def test_non_string_keys_match_json_dumps(self, obj):
@@ -215,11 +301,31 @@ def test_solved_verdict_survives_write_and_load(name, tmp_path):
     assert _verdict_bits(from_files) == _verdict_bits(in_memory)
 
 
+def _solver_case(name):
+    if name == "random_3_qubit":
+        ensemble = random_ensemble(np.random.default_rng(5), (2, 2, 2), 4)
+        return ensemble, [ConeGenerators(ensemble.dims, ()) for _ in range(ensemble.n)]
+    ensemble, _ = build_example1() if name == "example1" else build_example2(3)
+    family = name.split("_")[0]
+    return ensemble, [example_cone_generators(ensemble, family, i) for i in range(ensemble.n)]
+
+
+@pytest.mark.parametrize("kind", ["global", "sep-bound"])
+@pytest.mark.parametrize("name", ["example1", "example2_d3", "random_3_qubit"])
+def test_solver_reports_match_json_dumps(name, kind, tmp_path):
+    """Solver outputs are dense, with -0.0 and tiny entries; the sha256 pins cover only sparse fixtures."""
+    ensemble, cones = _solver_case(name)
+    if kind == "global":
+        report = solve_global(ensemble, tol=1e-8, seed=0)
+    else:
+        report = solve_separable_bound(ensemble, cones, tol=1e-8, seed=0)
+    payload = report.to_dict()
+    text = write_json(tmp_path / "report.json", payload)
+    assert text == json.dumps(listify(payload), indent=2, sort_keys=True) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # codec properties
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
-EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1.79e308, -1.79e308]
 
 
 @st.composite
@@ -243,7 +349,7 @@ class TestCodecProperties:
     @given(complex_matrices())
     @example(np.array([[complex(a, b) for b in EDGE] for a in EDGE], dtype=np.complex128))
     def test_round_trip_is_bit_exact(self, mat):
-        text = json.dumps(matrix_to_json(mat))
+        text = json.dumps(matrix_to_json(mat).tolist())
         assert text == json.dumps(_reference_to_json(mat))
         back = matrix_from_json(json.loads(text), "m")
         assert back.shape == mat.shape
@@ -264,7 +370,7 @@ class TestCodecProperties:
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(complex_matrices(), st.sampled_from(sorted(BAD_CELLS)), st.data())
     def test_malformed_entries_are_schema_errors(self, mat, kind, data):
-        payload = matrix_to_json(mat)
+        payload = matrix_to_json(mat).tolist()
         side = len(payload)
         r = data.draw(st.integers(0, side - 1))
         c = data.draw(st.integers(0, side - 1))
@@ -275,7 +381,7 @@ class TestCodecProperties:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(complex_matrices(), st.data())
     def test_ragged_and_non_square_rows_are_schema_errors(self, mat, data):
-        payload = matrix_to_json(mat)
+        payload = matrix_to_json(mat).tolist()
         r = data.draw(st.integers(0, len(payload) - 1))
         if data.draw(st.booleans()):
             payload[r].pop()

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -28,6 +27,7 @@ from udbound import (
     solve_global_certificate,
     solve_separable_bound,
 )
+from udbound.jsonio import dumps
 from udbound.solver import _project_cone, _side_groups, hermitian_basis, smat, svec
 from helpers import random_ensemble
 
@@ -241,7 +241,7 @@ class TestSolveToys:
         ensemble, _ = build_example1()
         a = solve_global(ensemble, tol=1e-8, seed=0)
         b = solve_global(ensemble, tol=1e-8, seed=0)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert dumps(a.to_dict()) == dumps(b.to_dict())
 
 
 class TestGlobalProgram:
