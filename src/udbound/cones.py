@@ -73,6 +73,8 @@ class ConeGenerators:
             lo = min_eigenvalue(gen)
             if not lo >= -PSD_TOL * scale:
                 raise ValueError(f"generator {k} not PSD (min eigenvalue {lo:.3e})")
+            if not np.linalg.norm(gen.matrix) > 0.0:
+                raise ValueError(f"generator {k} is zero")
             if form is None:
                 frozen_forms.append(None)
                 continue
@@ -142,18 +144,27 @@ def in_generated_dual(
     """
     if op.dims != cone.dims:
         raise ValueError("operator and cone dims differ")
-    worst = 0.0
-    first = True
-    for gen in cone.generators:
-        scale = float(np.linalg.norm(gen.matrix))
-        if scale == 0.0:
-            continue
-        val = hs_inner(op, gen) / scale
-        worst = val if first else min(worst, val)
-        first = False
-    if first:
-        return True, 0.0
+    pairings = (hs_inner(op, gen) / float(np.linalg.norm(gen.matrix)) for gen in cone.generators)
+    worst = min(pairings, default=0.0)
     return worst >= -tol, worst
+
+
+def check_no_error_cone(ensemble: Ensemble, i: int, cone: ConeGenerators, tol: float) -> None:
+    """Raise ``ValueError`` unless cone ``i`` lies in the no-error cone of state ``i``.
+
+    A generator g fails if |Tr(g rho_j)| > tol·||g||_F for some state j != i.
+    """
+    if cone.dims != ensemble.dims:
+        raise ValueError(f"cone {i} dims {cone.dims.dims} do not match ensemble {ensemble.dims.dims}")
+    others = [(j, rho) for j, rho in enumerate(ensemble.states) if j != i]
+    for k, gen in enumerate(cone.generators):
+        bound = tol * float(np.linalg.norm(gen.matrix))
+        for j, rho in others:
+            pairing = abs(hs_inner(gen, rho))
+            if not pairing <= bound:
+                raise ValueError(
+                    f"cone {i} generator {k} is not orthogonal to state {j} (|Tr(g rho)| = {pairing:.3e})"
+                )
 
 
 def _example1_local_vectors() -> dict[str, np.ndarray]:
@@ -202,15 +213,12 @@ def example_cone_generators(ensemble: Ensemble, which: str, i: int) -> ConeGener
     generators = tuple(
         tensor([HermitianOperator(f, DimVector((f.shape[0],))) for f in form]) for form in forms
     )
-    for g in generators:
-        for j, rho in enumerate(ensemble.states):
-            if j == i:
-                continue
-            if abs(hs_inner(g, rho)) > 1e-10:
-                raise ValueError(
-                    f"generator not orthogonal to state {j}; ensemble does not match {which}"
-                )
-    return ConeGenerators(dims, generators, forms)
+    cone = ConeGenerators(dims, generators, forms)
+    try:
+        check_no_error_cone(ensemble, i, cone, 1e-10)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; ensemble does not match {which}") from exc
+    return cone
 
 
 def _canonical_cuts(sites: int) -> list[tuple[int, ...]]:

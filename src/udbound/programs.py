@@ -32,17 +32,21 @@ from .operators import HermitianOperator
 from .solver import Block, ConicProgram, Constraint, SolveReport, hermitian_basis, smat, solve
 
 
-def _matrix_equality(target: np.ndarray, terms: dict[str, float | np.ndarray]) -> list[Constraint]:
-    """Scalar constraints imposing sum_b L_b(X_b) = target, one per Hermitian basis element.
+def _constraints(stack: np.ndarray, terms: dict, rhs: list[float], sense: str = "eq") -> list[Constraint]:
+    """Scalar constraints sum_b <S_k, L_b(X_b)> (sense) rhs[k], one per matrix S_k of ``stack``.
 
     ``terms`` maps a block name to its linear map: a matrix M stands for
-    X -> M X M†, a scalar s for X -> s X.
+    X -> M X M†, a scalar s for X -> s X.  Each block's coefficients, the
+    adjoint map applied to every S_k, come from one batched product.
     """
-    constraints = []
-    for f in hermitian_basis(target.shape[0]):
-        coeffs = {b: m.conj().T @ f @ m if isinstance(m, np.ndarray) else m * f for b, m in terms.items()}
-        constraints.append(Constraint(coeffs, float(np.tensordot(f, target.T, axes=2).real)))
-    return constraints
+    coeffs = {b: m.conj().T @ stack @ m if isinstance(m, np.ndarray) else m * stack for b, m in terms.items()}
+    return [Constraint({b: c[k] for b, c in coeffs.items()}, r, sense) for k, r in enumerate(rhs)]
+
+
+def _matrix_equality(target: np.ndarray, terms: dict[str, float | np.ndarray]) -> list[Constraint]:
+    """Scalar constraints imposing sum_b L_b(X_b) = target, one per Hermitian basis element."""
+    basis = hermitian_basis(target.shape[0])
+    return _constraints(basis, terms, [float(np.tensordot(f, target.T, axes=2).real) for f in basis])
 
 
 def _conclusive_data(ensemble: Ensemble):
@@ -177,7 +181,7 @@ def solve_separable_bound(
             raise ValueError(f"cone {k} dims {cone.dims.dims} do not match ensemble {dims.dims}")
 
     fallback = {i: conclusive_subspace(ensemble, i) for i, cone in enumerate(cones) if not len(cone)}
-    generators = [[gen.matrix / np.linalg.norm(gen.matrix) for gen in cone.generators] for cone in cones]
+    generators = [np.array([g.matrix / np.linalg.norm(g.matrix) for g in cone.generators]) for cone in cones]
     cover = [g for gens in generators for g in gens] + [b @ b.conj().T for b in fallback.values()]
     support, _ = split_support(sum(cover, np.zeros((dims.total,) * 2)))
     w = support.shape[1]
@@ -189,11 +193,11 @@ def solve_separable_bound(
     for i, gens in enumerate(generators):
         rho = ensemble.states[i].matrix
         prior = ensemble.priors[i]
-        for g in gens:
-            rhs = prior * float(np.tensordot(rho, g.T, axes=2).real)
-            constraints.append(Constraint({"h": support.conj().T @ g @ support}, rhs, "ge"))
         basis = fallback.get(i)
-        if basis is not None and basis.shape[1]:
+        if basis is None:  # a nonempty cone: one pairing row per generator
+            rhs = [prior * float(np.tensordot(rho, g.T, axes=2).real) for g in gens]
+            constraints += _constraints(gens, {"h": support}, rhs, "ge")
+        elif basis.shape[1]:
             blocks.append(Block(f"pos{i}", basis.shape[1]))
             target = prior * (basis.conj().T @ rho @ basis)
             constraints += _matrix_equality(target, {"h": basis.conj().T @ support, f"pos{i}": -1.0})

@@ -73,23 +73,17 @@ def smat(vec: np.ndarray, side: int) -> np.ndarray:
     return cols[..., _indices(side)[4]].reshape(*vec.shape[:-1], side, side)
 
 
-def hermitian_basis(side: int):
-    """Hermitian matrices whose svec images are the standard basis, in order."""
-    for a in range(side):
-        f = np.zeros((side, side), dtype=np.complex128)
-        f[a, a] = 1.0
-        yield f
-    _, rows, cols = _indices(side)[:3]
-    for a, b in zip(rows, cols):
-        f = np.zeros((side, side), dtype=np.complex128)
-        f[a, b] = 1.0 / _SQRT2
-        f[b, a] = 1.0 / _SQRT2
-        yield f
-    for a, b in zip(rows, cols):
-        f = np.zeros((side, side), dtype=np.complex128)
-        f[a, b] = 1.0j / _SQRT2
-        f[b, a] = -1.0j / _SQRT2
-        yield f
+def hermitian_basis(side: int) -> np.ndarray:
+    """The (side², side, side) stack of Hermitian matrices whose svec images are the standard basis."""
+    diag, rows, cols = _indices(side)[:3]
+    k = len(rows)
+    re, im = side + np.arange(k), side + k + np.arange(k)
+    basis = np.zeros((side * side, side, side), dtype=np.complex128)
+    basis[diag, diag, diag] = 1.0
+    basis[re, rows, cols] = basis[re, cols, rows] = 1.0 / _SQRT2
+    basis[im, rows, cols] = 1.0j / _SQRT2
+    basis[im, cols, rows] = -1.0j / _SQRT2
+    return basis
 
 
 @dataclass(frozen=True)
@@ -278,7 +272,8 @@ def solve(
     Terminates with status ``optimal`` (affine, stationarity, and gap
     residuals all within tol relative to the data scale), ``max_iterations``
     with the best iterate, or ``infeasible`` when the multipliers diverge
-    while the affine residual stalls.
+    while the affine residual stalls.  Raises ``LinAlgError`` when the
+    constraint rows are linearly dependent (A A^T numerically singular).
     """
     data = _assemble(program)
     c, A, b, layout = data.c, data.A, data.b, data.layout
@@ -311,16 +306,10 @@ def solve(
             return finish("infeasible", np.zeros(total), None, {"primal": 0.0, "dual": 0.0, "gap": 0.0}, 0)
         return finish("optimal", np.zeros(total), np.zeros(0), {"primal": 0.0, "dual": 0.0, "gap": 0.0}, 0)
 
-    gram = A @ A.T
-    factor = None
-    for ridge in (0.0, 1e-12, 1e-9, 1e-6):
-        try:
-            factor = cho_factor(gram + ridge * np.eye(m), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if factor is None:
-        raise np.linalg.LinAlgError("affine constraint Gram matrix is numerically singular")
+    try:
+        factor = cho_factor(A @ A.T, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("affine constraint Gram matrix is numerically singular") from exc
 
     b_scale = max(1.0, float(np.abs(b).max()))
     c_scale = max(1.0, float(np.abs(c).max()))

@@ -10,7 +10,7 @@ certificate), "14a"/"14b" (bound-certificate feasibility), "16a"/"16b"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .cones import (
     ConeGenerators,
     _canonical_cuts,
+    check_no_error_cone,
     in_conclusive_dual,
     in_generated_dual,
 )
@@ -150,9 +151,12 @@ def verify_optimality(
     )
 
 
-def _require_decompositions(measurement: Measurement, tol: float) -> None:
+def _require_decompositions(measurement: Measurement, tol: float, rebuilt: bool) -> None:
+    """Check each carried decomposition; with ``rebuilt``, a protocol reproduced the elements without one."""
     for k, dec in enumerate(measurement.decompositions):
         if dec is None:
+            if rebuilt:
+                continue
             raise PrecheckError(f"separability not certified: element {k} has no decomposition")
         scale = max(1.0, float(np.abs(measurement.elements[k].matrix).max()))
         try:
@@ -185,28 +189,24 @@ def _sep_dual_entry(certificate: HermitianOperator, tol: float):
     return None, "membership in the separable dual cone unverified", cut_detail
 
 
-def verify_separable_certificate(
+def _tightness(
     ensemble: Ensemble,
     measurement: Measurement,
     certificate: HermitianOperator,
     cones: Sequence[ConeGenerators],
-    tol: float = 1e-8,
+    tol: float,
+    rebuilt: bool,
 ) -> VerificationReport:
-    """Tightness certificate for the separable bound.
-
-    Requires every element to carry a verified separable decomposition.
-    Conditions: certificate in the separable dual cone ("14a", via the
-    sufficient PSD / partial-transpose routes, else marked unverified),
-    nonnegative pairings with each state's cone generators after
-    subtracting the weighted state ("14b"), zero pairing with the
-    inconclusive element ("16a"), and zero shifted pairings with the
-    conclusive elements ("16b").  On a pass the bound equals both the
-    certificate trace and the measurement's success probability.
-    """
+    """Prechecks, then conditions 14a, 14b, 16a and 16b (see :func:`verify_separable_certificate`)."""
     if len(cones) != ensemble.n:
         raise ValueError(f"expected {ensemble.n} generator cones, got {len(cones)}")
+    try:
+        for i, cone in enumerate(cones):
+            check_no_error_cone(ensemble, i, cone, tol)
+    except ValueError as exc:
+        raise PrecheckError(str(exc)) from exc
     _precheck(ensemble, measurement, tol)
-    _require_decompositions(measurement, tol)
+    _require_decompositions(measurement, tol, rebuilt)
 
     unverified: list[str] = []
     notes: list[str] = []
@@ -243,6 +243,29 @@ def verify_separable_certificate(
         unverified=unverified,
         notes=notes,
     )
+
+
+def verify_separable_certificate(
+    ensemble: Ensemble,
+    measurement: Measurement,
+    certificate: HermitianOperator,
+    cones: Sequence[ConeGenerators],
+    tol: float = 1e-8,
+) -> VerificationReport:
+    """Tightness certificate for the separable bound.
+
+    Requires every generator of cone i to lie in the no-error cone of state
+    i (see :func:`cones.check_no_error_cone`) and every element to carry a
+    verified separable decomposition.
+    Conditions: certificate in the separable dual cone ("14a", via the
+    sufficient PSD / partial-transpose routes, else marked unverified),
+    nonnegative pairings with each state's cone generators after
+    subtracting the weighted state ("14b"), zero pairing with the
+    inconclusive element ("16a"), and zero shifted pairings with the
+    conclusive elements ("16b").  On a pass the bound equals both the
+    certificate trace and the measurement's success probability.
+    """
+    return _tightness(ensemble, measurement, certificate, cones, tol, rebuilt=False)
 
 
 def _protocol_residual(measurement: Measurement, tol: float) -> float:
@@ -290,22 +313,15 @@ def verify_locc_equality(
     The measurement's one-round protocol descriptor is reconstructed
     numerically (local completeness, PSD elements, coarse-grained product
     elements matching the measurement entrywise); the tightness conditions
-    are then verified, with decompositions derived from the protocol when
-    elements do not carry explicit ones.  On a pass the locally attainable
+    are then verified.  The reconstruction already certifies every element
+    as a sum of products of PSD local factors, so only the decompositions
+    the elements carry are checked again.  On a pass the locally attainable
     optimum equals the certified bound.
     """
     recon = _protocol_residual(measurement, tol)
-    protocol = measurement.locc_protocol
-    if any(dec is None for dec in measurement.decompositions):
-        derived = protocol.derive_decompositions(measurement.dims, len(measurement.elements))
-        patched = tuple(
-            dec if dec is not None else derived[k]
-            for k, dec in enumerate(measurement.decompositions)
-        )
-        measurement = replace(measurement, decompositions=patched)
-    report = verify_separable_certificate(ensemble, measurement, certificate, cones, tol)
+    report = _tightness(ensemble, measurement, certificate, cones, tol, rebuilt=True)
     report.residuals["locc"] = recon
-    report.notes.append(f"protocol: {protocol.description}")
+    report.notes.append(f"protocol: {measurement.locc_protocol.description}")
     return report
 
 
@@ -340,7 +356,15 @@ def nlwe_witness(
     max_iter: int = 200_000,
     seed: int = 0,
 ) -> NlweReport:
-    """Solve both programs and compare: a strict gap witnesses nonlocality."""
+    """Solve both programs and compare: a strict gap witnesses nonlocality.
+
+    Raises ``ValueError`` unless each cone i lies in the no-error cone of
+    state i (see :func:`cones.check_no_error_cone`).
+    """
+    if len(cones) != ensemble.n:
+        raise ValueError(f"expected {ensemble.n} generator cones, got {len(cones)}")
+    for i, cone in enumerate(cones):
+        check_no_error_cone(ensemble, i, cone, tol)
     global_report = solve_global(ensemble, tol=tol, max_iter=max_iter, seed=seed)
     bound_report = solve_separable_bound(ensemble, list(cones), tol=tol, max_iter=max_iter, seed=seed)
     p = global_report.value

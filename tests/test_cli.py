@@ -349,3 +349,58 @@ class TestDeterminism:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _edited_cones(files, tmp_path, edit):
+    payload = json.loads(files["cones"].read_text())
+    edit(payload["cones"])
+    path = tmp_path / "edited_cones.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _swap_first_two(cones):
+    cones[0], cones[1] = cones[1], cones[0]
+
+
+def _append_zero_generator(cones):
+    cones[0].append({"matrix": [[[0.0, 0.0]] * 4] * 4})
+
+
+class TestConeFilesAreChecked:
+    def _verify(self, files, kind, cones, out):
+        argv = ["verify", kind, "--ensemble", str(files["ensemble"]), "--cones", str(cones)]
+        argv += ["--out", str(out)]
+        if kind != "nlwe":
+            argv += ["--measurement", str(files["locc_measurement"])]
+            argv += ["--certificate", str(files["sep_certificate"])]
+        return main(argv)
+
+    @pytest.mark.parametrize("kind", ["thm3", "cor3", "nlwe"])
+    def test_swapped_cones_exit_2(self, example1_files, tmp_path, capsys, kind):
+        cones = _edited_cones(example1_files, tmp_path, _swap_first_two)
+        out = tmp_path / "report.json"
+        assert self._verify(example1_files, kind, cones, out) == 2
+        captured = capsys.readouterr()
+        message = "cone 0 generator 0 is not orthogonal to state 1 (|Tr(g rho)| = 5.625e-01)"
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_sep_bound_solves_swapped_cones_as_given(self, example1_files, tmp_path, capsys):
+        cones = _edited_cones(example1_files, tmp_path, _swap_first_two)
+        argv = ["solve", "sep-bound", "--ensemble", str(example1_files["ensemble"]), "--cones", str(cones)]
+        assert main(argv + ["--tol", "1e-8", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.3, abs=1e-6)
+
+    @pytest.mark.parametrize("kind", ["sep-bound", "thm3"])
+    def test_zero_generator_exits_2(self, example1_files, tmp_path, capsys, kind):
+        cones = _edited_cones(example1_files, tmp_path, _append_zero_generator)
+        out = tmp_path / "report.json"
+        if kind == "thm3":
+            code = self._verify(example1_files, kind, cones, out)
+        else:
+            argv = ["solve", kind, "--ensemble", str(example1_files["ensemble"]), "--cones", str(cones)]
+            code = main(argv + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cones}.cones[0]: generator 2 is zero\n"
+        assert not out.exists()

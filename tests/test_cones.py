@@ -29,7 +29,7 @@ from udbound import (
     ppt_check,
     tensor,
 )
-from udbound.cones import RANK_TOL
+from udbound.cones import RANK_TOL, check_no_error_cone
 from udbound.jsonio import matrix_to_json, write_json
 from helpers import nested_support_ensemble, random_ensemble, random_psd
 
@@ -342,3 +342,52 @@ class TestSeparableDualTraceProperty:
                 op = HermitianOperator(mat, DimVector((2, 2)))
             assert np.abs(op.matrix).max() > 1e-12
             assert op.trace > 1e-12
+
+
+class TestNoErrorConeCheck:
+    """``check_no_error_cone``: generators of cone i give zero probability on every state j != i."""
+
+    def test_example_cones_pass(self):
+        ensemble, _ = build_example1()
+        for i in range(ensemble.n):
+            check_no_error_cone(ensemble, i, example_cone_generators(ensemble, "example1", i), 1e-10)
+
+    def test_cone_of_another_state_names_cone_generator_and_state(self):
+        ensemble, _ = build_example1()
+        cone = example_cone_generators(ensemble, "example1", 1)
+        message = r"cone 0 generator 0 is not orthogonal to state 1 \(\|Tr\(g rho\)\| = "
+        with pytest.raises(ValueError, match=message):
+            check_no_error_cone(ensemble, 0, cone, 1e-8)
+
+    def test_tolerance_scales_with_the_generator_norm(self):
+        ensemble, _ = build_example1()
+        gen = example_cone_generators(ensemble, "example1", 0).generators[0]
+        tilted = HermitianOperator(gen.matrix + 1e-9 * ensemble.states[1].matrix, ensemble.dims)
+        for scale in (1.0, 1e6):
+            cone = ConeGenerators(ensemble.dims, (HermitianOperator(scale * tilted.matrix, ensemble.dims),))
+            check_no_error_cone(ensemble, 0, cone, 1e-8)
+            with pytest.raises(ValueError, match="generator 0 is not orthogonal to state 1"):
+                check_no_error_cone(ensemble, 0, cone, 1e-10)
+
+    def test_mismatched_dims_are_named(self):
+        ensemble, _ = build_example1()
+        cone = ConeGenerators(DimVector((4,)), ())
+        with pytest.raises(ValueError, match=r"cone 2 dims \(4,\) do not match ensemble \(2, 2\)"):
+            check_no_error_cone(ensemble, 2, cone, 1e-8)
+
+
+class TestZeroGenerator:
+    def test_rejected_at_construction(self):
+        dims = DimVector((2, 2))
+        zero = HermitianOperator(np.zeros((4, 4)), dims)
+        with pytest.raises(ValueError, match="generator 1 is zero"):
+            ConeGenerators(dims, (identity(dims), zero))
+
+    def test_cone_file_is_a_schema_error(self, tmp_path):
+        ensemble, _ = build_example1()
+        payload = cones_to_dict([example_cone_generators(ensemble, "example1", i) for i in range(3)])
+        payload["cones"][2].append({"matrix": matrix_to_json(np.zeros((4, 4)))})
+        path = tmp_path / "cones.json"
+        write_json(path, payload)
+        with pytest.raises(SchemaError, match=r"cones\[2\]: generator 2 is zero"):
+            load_cones(path)

@@ -1,9 +1,12 @@
 """Invariances the mathematics guarantees, as derandomised properties.
 
 Relabelling the states relabels every per-state output, and a local
-unitary U_1 x U_2 (applied to the states and to the cone generators)
-changes neither the global optimum p_G nor the separable bound q.
+unitary U_1 x U_2 (or U_1 x U_2 x U_3 on three qubits, applied to the
+states and to the cone generators) changes neither the global optimum p_G
+nor the separable bound q.
 """
+
+import functools
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -86,6 +89,40 @@ def test_local_unitaries_leave_p_global_and_q_unchanged(seed, n, use_example1):
         cones = [_random_product_cone(rng, ensemble) for _ in range(ensemble.n)]
     local = [_haar(rng, d) for d in ensemble.dims]
     u = np.kron(*local)
+    rotated = Ensemble(ensemble.dims, ensemble.priors, tuple(_rotated(rho, u) for rho in ensemble.states))
+    rotated_cones = [
+        ConeGenerators(
+            cone.dims,
+            tuple(_rotated(g, u) for g in cone.generators),
+            tuple(tuple(uk @ f @ uk.conj().T for uk, f in zip(local, form)) for form in cone.product_form),
+        )
+        for cone in cones
+    ]
+    p, p_rotated = solve_global(ensemble, tol=TOL), solve_global(rotated, tol=TOL)
+    assert abs(p_rotated.value - p.value) <= 2 * TOL
+    q = solve_separable_bound(ensemble, cones, tol=TOL)
+    q_rotated = solve_separable_bound(rotated, rotated_cones, tol=TOL)
+    assert abs(q_rotated.value - q.value) <= 2 * TOL
+
+
+def _random_product_cone_on(rng: np.random.Generator, ensemble: Ensemble) -> ConeGenerators:
+    """Zero to two random pure product generators on any number of sites; empty takes the fallback."""
+    forms = []
+    for _ in range(int(rng.integers(0, 3))):
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in ensemble.dims]
+        forms.append(tuple(np.outer(v, v.conj()) / np.vdot(v, v).real for v in vecs))
+    gens = tuple(HermitianOperator(functools.reduce(np.kron, form), ensemble.dims) for form in forms)
+    return ConeGenerators(ensemble.dims, gens, tuple(forms))
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_three_site_local_unitaries_leave_p_global_and_q_unchanged(seed, n):
+    rng = np.random.default_rng(seed)
+    ensemble = random_ensemble(rng, (2, 2, 2), n)
+    cones = [_random_product_cone_on(rng, ensemble) for _ in range(ensemble.n)]
+    local = [_haar(rng, d) for d in ensemble.dims]
+    u = functools.reduce(np.kron, local)
     rotated = Ensemble(ensemble.dims, ensemble.priors, tuple(_rotated(rho, u) for rho in ensemble.states))
     rotated_cones = [
         ConeGenerators(

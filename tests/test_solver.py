@@ -374,3 +374,13 @@ class TestDualityOnRandomEnsembles:
             assert m.completeness_residual() < 1e-6
             assert m.psd_residual() < 1e-6
             assert check_no_error(ensemble, m, tol=1e-6).passed
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_dependent_rows_raise_instead_of_solving_a_perturbed_projection(copies):
+    e00 = np.zeros((2, 2), dtype=complex)
+    e00[0, 0] = 1.0
+    rows = (Constraint({"x": e00}, 1.0),) * copies
+    program = ConicProgram((Block("x", 2),), {"x": np.eye(2, dtype=complex)}, rows)
+    with pytest.raises(np.linalg.LinAlgError, match="Gram matrix is numerically singular"):
+        solve(program, tol=1e-9)

@@ -31,6 +31,7 @@ from udbound import (
     save_cones,
     save_ensemble,
     save_measurement,
+    solve_separable_bound,
     validate_measurement,
     verify_locc_equality,
     verify_optimality,
@@ -431,3 +432,65 @@ class TestNanOperators:
         thm3 = verify_separable_certificate(ensemble, fixtures.locc_measurement, certificate, cones)
         assert "7a" in prop1.failing and not prop1.passed
         assert "14a" in thm3.failing and "14a" not in thm3.unverified
+
+
+class TestConesOfOtherStates:
+    """Cones 0 and 1 of example1 swapped: each generator gives probability to another state."""
+
+    @pytest.fixture()
+    def swapped(self, example1):
+        ensemble, fixtures, cones = example1
+        return ensemble, fixtures, [cones[1], cones[0], cones[2]]
+
+    MESSAGE = r"cone 0 generator 0 is not orthogonal to state 1"
+
+    def test_thm3_rejects(self, swapped):
+        ensemble, fixtures, cones = swapped
+        with pytest.raises(PrecheckError, match=self.MESSAGE):
+            verify_separable_certificate(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones)
+
+    def test_cor3_rejects(self, swapped):
+        ensemble, fixtures, cones = swapped
+        with pytest.raises(PrecheckError, match=self.MESSAGE):
+            verify_locc_equality(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones)
+
+    def test_nlwe_rejects(self, swapped):
+        ensemble, _, cones = swapped
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            nlwe_witness(ensemble, cones, tol=1e-7)
+
+    def test_nlwe_cone_count_is_checked_first(self, example1):
+        ensemble, _, cones = example1
+        with pytest.raises(ValueError, match="expected 3 generator cones, got 2"):
+            nlwe_witness(ensemble, cones[:2], tol=1e-7)
+
+    def test_sep_bound_takes_cones_as_given(self, swapped):
+        ensemble, _, cones = swapped
+        assert solve_separable_bound(ensemble, cones, tol=1e-8).value == pytest.approx(0.3, abs=1e-6)
+
+
+class TestCor3ChecksEachElementOnce:
+    def test_bare_measurement_reconstructs_each_element_once(self, example2_d3, monkeypatch):
+        ensemble, fixtures, cones = example2_d3
+        decorated = fixtures.locc_measurement
+        bare = Measurement(ensemble.dims, decorated.elements, locc_protocol=decorated.locc_protocol)
+        calls = []
+        reconstruct = SeparableDecomposition.reconstruct
+        def counted(self, dims):
+            calls.append(1)
+            return reconstruct(self, dims)
+
+        monkeypatch.setattr(SeparableDecomposition, "reconstruct", counted)
+        assert verify_locc_equality(ensemble, bare, fixtures.sep_certificate, cones, tol=1e-8).passed
+        assert len(calls) == len(bare.elements)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-14])
+    def test_bare_report_equals_decorated_report(self, example2_d3, tol):
+        ensemble, fixtures, cones = example2_d3
+        decorated = fixtures.locc_measurement
+        bare = Measurement(ensemble.dims, decorated.elements, locc_protocol=decorated.locc_protocol)
+        reports = [
+            verify_locc_equality(ensemble, m, fixtures.sep_certificate, cones, tol=tol).to_dict()
+            for m in (bare, decorated)
+        ]
+        assert reports[0] == reports[1]
