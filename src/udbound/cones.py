@@ -102,19 +102,44 @@ def split_support(psd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs[:, keep], vecs[:, ~keep]
 
 
+def no_error_subspaces(ensemble: Ensemble):
+    """The one no-error split: (S, S⊥, the states on S, each K_i ∩ S in S coordinates).
+
+    S = range(sum_j rho_j) is split off at ``RANK_TOL``, as the standard basis
+    when it is everything.  Every state vanishes on S⊥, so the no-error
+    subspace K_i = ∩_{j≠i} ker rho_j is S⊥ ⊕ (K_i ∩ S).
+    """
+    states = [rho.matrix for rho in ensemble.states]
+    support, complement = split_support(sum(states))
+    if not complement.shape[1]:  # keep the sparser standard basis
+        support = np.eye(ensemble.dims.total)
+    else:
+        states = [support.conj().T @ rho @ support for rho in states]
+    kernels = [
+        split_support(sum((s for j, s in enumerate(states) if j != i), np.zeros_like(states[i])))[1]
+        for i in range(ensemble.n)
+    ]
+    return support, complement, states, kernels
+
+
+def _conclusive_bases(ensemble: Ensemble) -> list[np.ndarray]:
+    """Each K_i = S⊥ ⊕ (K_i ∩ S) in the full space, from one :func:`no_error_subspaces` split."""
+    support, complement, _, kernels = no_error_subspaces(ensemble)
+    if not complement.shape[1]:
+        return [np.ascontiguousarray(kernel) for kernel in kernels]
+    return [np.hstack([complement, support @ kernel]) for kernel in kernels]
+
+
 def conclusive_subspace(ensemble: Ensemble, i: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the joint kernel of the other states.
+    """Orthonormal basis (columns) of K_i, the joint kernel of the other states.
 
     PSD operators supported here are exactly those with zero probability on
     every state except state ``i``; an empty basis means only the zero
-    operator qualifies.  The joint kernel is the kernel of the sum of the
-    other states.
+    operator qualifies.
     """
     if not 0 <= i < ensemble.n:
         raise ValueError(f"state index {i} out of range")
-    others = (rho.matrix for j, rho in enumerate(ensemble.states) if j != i)
-    _, kernel = split_support(sum(others, np.zeros((ensemble.dims.total,) * 2, dtype=np.complex128)))
-    return np.ascontiguousarray(kernel)
+    return _conclusive_bases(ensemble)[i]
 
 
 def in_conclusive_dual(

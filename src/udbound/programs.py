@@ -12,7 +12,7 @@ Each program is posed, through ``cones.split_support``, on the space its
 constraints can see, and both sizings are exact:
 
 - global and certificate programs: on the ensemble support
-  S = range(sum_j rho_j), with each K_i computed there as K_i ∩ S.  Every
+  S = range(sum_j rho_j), with K_i ∩ S from ``cones.no_error_subspaces``.  Every
   state vanishes on S⊥, so S⊥ ⊆ K_i and K_i = S⊥ ⊕ (K_i ∩ S): the value,
   condition 7c of the lifted certificate and the completed measurement
   are unchanged.  Completeness is imposed on the joint span of the K_i ∩ S.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import ConeGenerators, conclusive_subspace, split_support
+from .cones import ConeGenerators, conclusive_subspace, no_error_subspaces, split_support
 from .ensembles import Ensemble, Measurement
 from .operators import HermitianOperator
 from .solver import Block, ConicProgram, Constraint, SolveReport, hermitian_basis, smat, solve
@@ -56,17 +56,8 @@ def _conclusive_data(ensemble: Ensemble):
     and, per state with a nonzero subspace, its basis in the full space and
     in joint-span coordinates and the weighted state compressed onto it.
     """
-    states = [rho.matrix for rho in ensemble.states]
-    support, _ = split_support(sum(states))
-    if support.shape[1] == ensemble.dims.total:  # S is everything: keep the sparser standard basis
-        support = np.eye(ensemble.dims.total)
-    else:
-        states = [support.conj().T @ rho @ support for rho in states]
-    kernels = {}
-    for i in range(ensemble.n):
-        _, kernel = split_support(sum((s for j, s in enumerate(states) if j != i), np.zeros_like(states[i])))
-        if kernel.shape[1]:
-            kernels[i] = kernel
+    support, _, states, kernels = no_error_subspaces(ensemble)
+    kernels = {i: kernel for i, kernel in enumerate(kernels) if kernel.shape[1]}
     q, r = np.linalg.qr(np.hstack([np.zeros((support.shape[1], 0))] + list(kernels.values())))
     joint = q @ split_support(r @ r.conj().T)[0]
     data = {

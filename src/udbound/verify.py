@@ -15,16 +15,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import (
-    ConeGenerators,
-    _canonical_cuts,
-    check_no_error_cone,
-    in_conclusive_dual,
-    in_generated_dual,
-)
+from .cones import ConeGenerators, _canonical_cuts, _conclusive_bases, check_no_error_cone, in_generated_dual
 from .ensembles import Ensemble, Measurement
 from .operators import (
     HermitianOperator,
+    compress,
     hs_inner,
     min_eigenvalue,
     nan_max,
@@ -112,6 +107,35 @@ def _precheck(ensemble: Ensemble, measurement: Measurement, tol: float) -> None:
         raise PrecheckError(f"POVM completeness precheck failed (residual {comp:.3e})")
 
 
+def _check_dims(ensemble: Ensemble, measurement: Measurement, certificate: HermitianOperator) -> None:
+    for name, dims in (("measurement", measurement.dims), ("certificate", certificate.dims)):
+        if dims != ensemble.dims:
+            raise PrecheckError(f"{name} dims {dims.dims} do not match ensemble {ensemble.dims.dims}")
+
+
+def _conditions(ids, ensemble, measurement, certificate, tol, entry, dual) -> VerificationReport:
+    """The four conditions Prop. 1 and Thm. 3 share, reported under ``ids``.
+
+    (a) the certificate C in the dual cone: ``entry(C, tol)`` gives (residual,
+    or None if unverified; note; details); (b) |Tr(E_0 C)|; (c) the violation
+    of ``dual(i, C - p_i rho_i)`` >= 0 for each i; (d) |Tr(E_i (C - p_i rho_i))|.
+    """
+    res_a, note, cut_detail = entry(certificate, tol)
+    shifted = [certificate - prior * rho for prior, rho in ensemble.items]
+    detail_c = {f"i={i + 1}": nan_max((0.0, -dual(i, s))) for i, s in enumerate(shifted)}
+    detail_d = {f"i={i + 1}": abs(hs_inner(measurement.elements[i + 1], s)) for i, s in enumerate(shifted)}
+    res_b = abs(hs_inner(measurement.elements[0], certificate))
+    residuals = (0.0 if res_a is None else res_a, res_b, nan_max(detail_c.values()), nan_max(detail_d.values()))
+    return VerificationReport(
+        tolerance=tol,
+        residuals=dict(zip(ids, residuals)),
+        details=({ids[0]: cut_detail} if cut_detail else {}) | {ids[2]: detail_c, ids[3]: detail_d},
+        value=_success_probability(ensemble, measurement),
+        unverified=[ids[0]] if res_a is None else [],
+        notes=[note] if note else [],
+    )
+
+
 def verify_optimality(
     ensemble: Ensemble,
     measurement: Measurement,
@@ -125,29 +149,16 @@ def verify_optimality(
     no-error subspace ("7c"), and pairs to zero with each conclusive
     element after subtracting the weighted state ("7d").  On a pass the
     certified value is the success probability, which then equals the
-    certificate trace within the reported residuals.
+    certificate trace within the reported residuals.  K_i comes from the
+    programs' own split, :func:`cones.no_error_subspaces`, taken once.
     """
+    _check_dims(ensemble, measurement, certificate)
     _precheck(ensemble, measurement, tol)
-    res_a = psd_violation(certificate)
-    res_b = abs(hs_inner(measurement.elements[0], certificate))
-    detail_c: dict[str, float] = {}
-    detail_d: dict[str, float] = {}
-    for i, (prior, rho) in enumerate(ensemble.items):
-        shifted = certificate - prior * rho
-        _, lo = in_conclusive_dual(shifted, ensemble, i, tol)
-        detail_c[f"i={i + 1}"] = nan_max((0.0, -lo))
-        detail_d[f"i={i + 1}"] = abs(hs_inner(measurement.elements[i + 1], shifted))
-    residuals = {
-        "7a": res_a,
-        "7b": res_b,
-        "7c": nan_max(detail_c.values()),
-        "7d": nan_max(detail_d.values()),
-    }
-    return VerificationReport(
-        tolerance=tol,
-        residuals=residuals,
-        details={"7c": detail_c, "7d": detail_d},
-        value=_success_probability(ensemble, measurement),
+    bases = _conclusive_bases(ensemble)
+    return _conditions(
+        ("7a", "7b", "7c", "7d"), ensemble, measurement, certificate, tol,
+        entry=lambda c, _: (psd_violation(c), None, {}),
+        dual=lambda i, shifted: min_eigenvalue(compress(shifted, bases[i])) if bases[i].shape[1] else 0.0,
     )
 
 
@@ -189,6 +200,14 @@ def _sep_dual_entry(certificate: HermitianOperator, tol: float):
     return None, "membership in the separable dual cone unverified", cut_detail
 
 
+def _check_cones(ensemble: Ensemble, cones: Sequence[ConeGenerators], tol: float) -> None:
+    """Raise ``ValueError`` unless each state i has one cone, inside its no-error cone."""
+    if len(cones) != ensemble.n:
+        raise ValueError(f"expected {ensemble.n} generator cones, got {len(cones)}")
+    for i, cone in enumerate(cones):
+        check_no_error_cone(ensemble, i, cone, tol)
+
+
 def _tightness(
     ensemble: Ensemble,
     measurement: Measurement,
@@ -198,50 +217,16 @@ def _tightness(
     rebuilt: bool,
 ) -> VerificationReport:
     """Prechecks, then conditions 14a, 14b, 16a and 16b (see :func:`verify_separable_certificate`)."""
-    if len(cones) != ensemble.n:
-        raise ValueError(f"expected {ensemble.n} generator cones, got {len(cones)}")
     try:
-        for i, cone in enumerate(cones):
-            check_no_error_cone(ensemble, i, cone, tol)
+        _check_cones(ensemble, cones, tol)
     except ValueError as exc:
         raise PrecheckError(str(exc)) from exc
     _precheck(ensemble, measurement, tol)
     _require_decompositions(measurement, tol, rebuilt)
-
-    unverified: list[str] = []
-    notes: list[str] = []
-    res_a, note, cut_detail = _sep_dual_entry(certificate, tol)
-    details: dict[str, dict[str, float]] = {}
-    if cut_detail:
-        details["14a"] = cut_detail
-    if note:
-        notes.append(note)
-    if res_a is None:
-        unverified.append("14a")
-        res_a = 0.0
-
-    detail_b: dict[str, float] = {}
-    detail_d: dict[str, float] = {}
-    for i, (prior, rho) in enumerate(ensemble.items):
-        shifted = certificate - prior * rho
-        _, worst = in_generated_dual(shifted, cones[i], tol)
-        detail_b[f"i={i + 1}"] = nan_max((0.0, -worst))
-        detail_d[f"i={i + 1}"] = abs(hs_inner(measurement.elements[i + 1], shifted))
-    residuals = {
-        "14a": res_a,
-        "14b": nan_max(detail_b.values()),
-        "16a": abs(hs_inner(measurement.elements[0], certificate)),
-        "16b": nan_max(detail_d.values()),
-    }
-    details["14b"] = detail_b
-    details["16b"] = detail_d
-    return VerificationReport(
-        tolerance=tol,
-        residuals=residuals,
-        details=details,
-        value=_success_probability(ensemble, measurement),
-        unverified=unverified,
-        notes=notes,
+    return _conditions(
+        ("14a", "16a", "14b", "16b"), ensemble, measurement, certificate, tol,
+        entry=_sep_dual_entry,
+        dual=lambda i, shifted: in_generated_dual(shifted, cones[i], tol)[1],
     )
 
 
@@ -265,6 +250,7 @@ def verify_separable_certificate(
     conclusive elements ("16b").  On a pass the bound equals both the
     certificate trace and the measurement's success probability.
     """
+    _check_dims(ensemble, measurement, certificate)
     return _tightness(ensemble, measurement, certificate, cones, tol, rebuilt=False)
 
 
@@ -318,6 +304,7 @@ def verify_locc_equality(
     the elements carry are checked again.  On a pass the locally attainable
     optimum equals the certified bound.
     """
+    _check_dims(ensemble, measurement, certificate)
     recon = _protocol_residual(measurement, tol)
     report = _tightness(ensemble, measurement, certificate, cones, tol, rebuilt=True)
     report.residuals["locc"] = recon
@@ -361,10 +348,7 @@ def nlwe_witness(
     Raises ``ValueError`` unless each cone i lies in the no-error cone of
     state i (see :func:`cones.check_no_error_cone`).
     """
-    if len(cones) != ensemble.n:
-        raise ValueError(f"expected {ensemble.n} generator cones, got {len(cones)}")
-    for i, cone in enumerate(cones):
-        check_no_error_cone(ensemble, i, cone, tol)
+    _check_cones(ensemble, cones, tol)
     global_report = solve_global(ensemble, tol=tol, max_iter=max_iter, seed=seed)
     bound_report = solve_separable_bound(ensemble, list(cones), tol=tol, max_iter=max_iter, seed=seed)
     p = global_report.value

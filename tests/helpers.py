@@ -75,6 +75,20 @@ def forged_global_as_protocol(ensemble, fixtures):
     return Measurement(ensemble.dims, g.elements, locc_protocol=protocol)
 
 
+def one_site_global(fixtures, protocol=False):
+    """The entangled global measurement recast on one site of side 4, each element its own product.
+
+    With ``protocol`` the elements come from a one-site protocol whose POVM
+    is the four elements, else each carries a one-term decomposition.
+    """
+    dims = DimVector((4,))
+    elements = tuple(HermitianOperator(el.matrix, dims) for el in fixtures.global_measurement.elements)
+    if protocol:
+        povm = LoccProtocol("one site", (tuple(el.matrix for el in elements),), {(k,): k for k in range(4)})
+        return Measurement(dims, elements, locc_protocol=povm)
+    return Measurement(dims, elements, decompositions=tuple(SeparableDecomposition(((el.matrix,),)) for el in elements))
+
+
 def mixed_shape_protocol(ensemble, fixtures):
     """The example1 LOCC measurement with one site-0 POVM element widened to 3x3."""
     locc = fixtures.locc_measurement

@@ -8,7 +8,7 @@ from udbound.jsonio import write_json
 from udbound.cli import main
 from udbound.ensembles import build_example1, build_two_pure, measurement_to_dict
 from udbound.operators import StateVector, basis_state
-from helpers import forged_global_as_protocol, forged_global_as_separable, mixed_shape_protocol
+from helpers import forged_global_as_protocol, forged_global_as_separable, mixed_shape_protocol, one_site_global
 
 
 @pytest.fixture()
@@ -226,6 +226,58 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "term 0 has factor shapes [(4, 4), (1, 1)], expected sides (2, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["prop1", "thm3", "cor3"])
+    def test_measurement_on_other_dims_exits_2(self, example1_files, tmp_path, capsys, kind):
+        flat = tmp_path / "flat.json"
+        save_measurement(one_site_global(build_example1()[1], protocol=kind == "cor3"), flat)
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "verify",
+                kind,
+                "--ensemble",
+                str(example1_files["ensemble"]),
+                "--measurement",
+                str(flat),
+                "--certificate",
+                str(example1_files["global_certificate"]),
+                "--cones",
+                str(example1_files["cones"]),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: measurement dims (4,) do not match ensemble (2, 2)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["prop1", "thm3", "cor3"])
+    def test_certificate_on_other_dims_exits_2(self, example1_files, tmp_path, capsys, kind):
+        payload = json.loads(example1_files["global_certificate"].read_text())
+        payload["dims"] = [4]
+        flat = tmp_path / "flat.json"
+        write_json(flat, payload)
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "verify",
+                kind,
+                "--ensemble",
+                str(example1_files["ensemble"]),
+                "--measurement",
+                str(example1_files["global_measurement" if kind == "prop1" else "locc_measurement"]),
+                "--certificate",
+                str(flat),
+                "--cones",
+                str(example1_files["cones"]),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: certificate dims (4,) do not match ensemble (2, 2)\n"
+        assert not out.exists()
 
     def _cor3(self, files, measurement):
         return main(

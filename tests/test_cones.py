@@ -29,7 +29,7 @@ from udbound import (
     ppt_check,
     tensor,
 )
-from udbound.cones import RANK_TOL, check_no_error_cone
+from udbound.cones import RANK_TOL, check_no_error_cone, no_error_subspaces
 from udbound.jsonio import matrix_to_json, write_json
 from helpers import nested_support_ensemble, random_ensemble, random_psd
 
@@ -93,9 +93,33 @@ _SPLIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
 def test_conclusive_subspace_matches_the_pre_split_body_bit_for_bit(case):
+    """Bit for bit where the support is everything; else the same subspace, as S⊥ ⊕ (K_i ∩ S)."""
     ensemble = _SPLIT_CASES[case]()
+    full = np.linalg.eigvalsh(sum(rho.matrix for rho in ensemble.states))[0] > RANK_TOL
     for i in range(ensemble.n):
-        assert conclusive_subspace(ensemble, i).tobytes() == _reference_conclusive_subspace(ensemble, i).tobytes()
+        basis, reference = conclusive_subspace(ensemble, i), _reference_conclusive_subspace(ensemble, i)
+        if full:
+            assert basis.tobytes() == reference.tobytes()
+        else:
+            assert basis.shape == reference.shape
+            assert np.abs(basis @ basis.conj().T - reference @ reference.conj().T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["example1", "example2_d3", "nested_support", "random_3q_seed0"])
+def test_no_error_subspaces_split_the_support_once(case):
+    ensemble = _SPLIT_CASES[case]()
+    support, complement, states, kernels = no_error_subspaces(ensemble)
+    total = ensemble.dims.total
+    assert support.shape[1] + complement.shape[1] == total and len(kernels) == ensemble.n
+    if not complement.shape[1]:
+        assert np.array_equal(support, np.eye(total))
+    for i, (rho, small) in enumerate(zip(ensemble.states, states)):
+        assert np.abs(complement.conj().T @ rho.matrix @ complement).max(initial=0.0) <= RANK_TOL
+        assert np.abs(support.conj().T @ rho.matrix @ support - small).max() <= 1e-12
+        lifted = support @ kernels[i]
+        for j, other in enumerate(ensemble.states):
+            if j != i:
+                assert np.abs(lifted.conj().T @ other.matrix @ lifted).max(initial=0.0) <= RANK_TOL
 
 
 class TestInConclusiveDual:

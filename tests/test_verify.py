@@ -37,7 +37,13 @@ from udbound import (
     verify_optimality,
     verify_separable_certificate,
 )
-from helpers import forged_global_as_protocol, forged_global_as_separable, mixed_shape_protocol, random_psd
+from helpers import (
+    forged_global_as_protocol,
+    forged_global_as_separable,
+    mixed_shape_protocol,
+    one_site_global,
+    random_psd,
+)
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +275,42 @@ class TestForgedProductStructure:
         forged = forged_global_as_protocol(ensemble, fixtures)
         with pytest.raises(ProtocolError, match=r"term 0 has factor shapes \[\(4, 4\), \(1, 1\)\]"):
             verify_locc_equality(ensemble, forged, fixtures.global_certificate, cones)
+
+
+class TestDimsMustMatchTheEnsemble:
+    """example1's entangled optimum on one site of side 4: every factor fits that site, none fits 2x2."""
+
+    @staticmethod
+    def verify(kind, ensemble, measurement, certificate, cones):
+        if kind == "prop1":
+            return verify_optimality(ensemble, measurement, certificate)
+        if kind == "thm3":
+            return verify_separable_certificate(ensemble, measurement, certificate, cones)
+        return verify_locc_equality(ensemble, measurement, certificate, cones)
+
+    @pytest.mark.parametrize("kind", ["prop1", "thm3", "cor3"])
+    def test_measurement_on_other_dims_is_rejected(self, example1, kind):
+        ensemble, fixtures, cones = example1
+        measurement = one_site_global(fixtures, protocol=kind == "cor3")
+        with pytest.raises(PrecheckError, match=r"^measurement dims \(4,\) do not match ensemble \(2, 2\)$"):
+            self.verify(kind, ensemble, measurement, fixtures.global_certificate, cones)
+
+    @pytest.mark.parametrize("kind", ["prop1", "thm3", "cor3"])
+    def test_certificate_on_other_dims_is_rejected(self, example1, kind):
+        ensemble, fixtures, cones = example1
+        measurement = fixtures.global_measurement if kind == "prop1" else fixtures.locc_measurement
+        certificate = fixtures.global_certificate if kind == "prop1" else fixtures.sep_certificate
+        flat = HermitianOperator(certificate.matrix, DimVector((4,)))
+        with pytest.raises(PrecheckError, match=r"^certificate dims \(4,\) do not match ensemble \(2, 2\)$"):
+            self.verify(kind, ensemble, measurement, flat, cones)
+
+    def test_protocol_is_not_rebuilt_before_the_dims_check(self, example1, monkeypatch):
+        ensemble, fixtures, cones = example1
+        calls = []
+        monkeypatch.setattr(LoccProtocol, "reconstruct_elements", lambda *args: calls.append(args))
+        with pytest.raises(PrecheckError, match="measurement dims"):
+            verify_locc_equality(ensemble, one_site_global(fixtures, protocol=True), fixtures.global_certificate, cones)
+        assert not calls
 
 
 def test_mixed_povm_element_shapes_name_the_site(example1):
