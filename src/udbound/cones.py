@@ -3,10 +3,9 @@
 For state i of an ensemble, the conclusive cone is the set of PSD operators
 that give zero probability on every other state; it equals the PSD cone
 over the joint kernel of the other states.  The separable part of that cone
-is handled through explicit finite generator lists, with dual-side tests,
-a partial-transpose necessary check for separability, and a randomized
-certification that a given product ray is the only one in a two-dimensional
-subspace.
+is handled through explicit finite generator lists, with a dual test
+against a generated cone, and a randomized certification that a given
+product ray is the only one in a two-dimensional subspace.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,12 +32,10 @@ from .operators import (
     DimVector,
     HermitianOperator,
     StateVector,
-    compress,
     hs_inner,
     kron_sum,
     min_eigenvalue,
     partial_trace,
-    partial_transpose,
     tensor,
 )
 
@@ -142,23 +139,6 @@ def conclusive_subspace(ensemble: Ensemble, i: int) -> np.ndarray:
     return _conclusive_bases(ensemble)[i]
 
 
-def in_conclusive_dual(
-    op: HermitianOperator, ensemble: Ensemble, i: int, tol: float = PSD_TOL
-) -> tuple[bool, float]:
-    """Dual-cone test against the conclusive cone of state ``i``.
-
-    Returns (member, residual) where residual is the smallest eigenvalue of
-    the compression onto the conclusive subspace; membership only requires
-    that compression to be PSD, which is exact because the cone is the full
-    PSD cone over that subspace.
-    """
-    basis = conclusive_subspace(ensemble, i)
-    if basis.shape[1] == 0:
-        return True, 0.0
-    lo = min_eigenvalue(compress(op, basis))
-    return lo >= -tol, lo
-
-
 def in_generated_dual(
     op: HermitianOperator, cone: ConeGenerators, tol: float = PSD_TOL
 ) -> tuple[bool, float]:
@@ -254,20 +234,6 @@ def _canonical_cuts(sites: int) -> list[tuple[int, ...]]:
             comp = tuple(k for k in range(sites) if k not in combo)
             cuts.add(min(combo, comp))
     return sorted(cuts)
-
-
-def ppt_check(op: HermitianOperator, cut: Union[int, Iterable[int]]) -> bool:
-    """Positivity of the partial transpose across the cut.
-
-    A False answer certifies that the operator is not separable; True is
-    only a necessary condition (the input is assumed PSD).
-    """
-    sites = (cut,) if isinstance(cut, (int, np.integer)) else tuple(cut)
-    chosen = sorted(set(int(k) for k in sites))
-    m = op.dims.sites
-    if not chosen or len(chosen) >= m or any(not 0 <= k < m for k in chosen):
-        raise ValueError(f"invalid cut {chosen} for {m} sites")
-    return min_eigenvalue(partial_transpose(op, chosen)) >= -PSD_TOL
 
 
 def _site_marginal(state: StateVector, site: int) -> np.ndarray:

@@ -160,11 +160,6 @@ class Measurement:
             raise ValueError("one decomposition slot per element is required")
         object.__setattr__(self, "decompositions", tuple(decs))
 
-    @property
-    def n(self) -> int:
-        """Number of conclusive outcomes."""
-        return len(self.elements) - 1
-
     def completeness_residual(self) -> float:
         total = sum(el.matrix for el in self.elements)
         return float(np.abs(total - np.eye(self.dims.total)).max())
@@ -174,17 +169,8 @@ class Measurement:
 
 
 @dataclass(frozen=True)
-class Violation:
-    message: str
-    residual: float
-
-    def __str__(self) -> str:
-        return self.message
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    violations: tuple[Violation, ...]
+    violations: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -193,43 +179,26 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.ok:
             return "valid"
-        return "; ".join(str(v) for v in self.violations)
+        return "; ".join(self.violations)
 
 
 def validate_ensemble(ensemble: Ensemble) -> ValidationReport:
-    """Report every violated ensemble invariant with its residual."""
-    violations: list[Violation] = []
+    """Report every violated ensemble invariant."""
+    violations: list[str] = []
     total = sum(ensemble.priors)
     if abs(total - 1.0) > 1e-10:
-        violations.append(Violation(f"priors sum {total:.12g}", abs(total - 1.0)))
+        violations.append(f"priors sum {total:.12g}")
     for k, (prior, rho) in enumerate(ensemble.items, start=1):
         if not math.isfinite(prior):
-            violations.append(Violation(f"prior {k} is {prior!r}, not finite", math.inf))
+            violations.append(f"prior {k} is {prior!r}, not finite")
         elif prior <= 0:
-            violations.append(Violation(f"prior {k} is {prior:.12g}, not positive", -prior))
+            violations.append(f"prior {k} is {prior:.12g}, not positive")
         lo = min_eigenvalue(rho)
         if not lo >= -PSD_TOL:
-            violations.append(Violation(f"state {k} not PSD (min eigenvalue {lo:.3e})", -lo))
+            violations.append(f"state {k} not PSD (min eigenvalue {lo:.3e})")
         tr = rho.trace
         if abs(tr - 1.0) > PSD_TOL:
-            violations.append(Violation(f"state {k} trace {tr:.12g}", abs(tr - 1.0)))
-    return ValidationReport(tuple(violations))
-
-
-def validate_measurement(measurement: Measurement) -> ValidationReport:
-    violations: list[Violation] = []
-    neg = measurement.psd_residual()
-    if not neg <= PSD_TOL:
-        violations.append(Violation(f"element not PSD (violation {neg:.3e})", neg))
-    comp = measurement.completeness_residual()
-    if not comp <= PSD_TOL:
-        violations.append(Violation(f"elements do not sum to identity (residual {comp:.3e})", comp))
-    for k, dec in enumerate(measurement.decompositions):
-        if dec is None:
-            continue
-        res = dec.residual(measurement.elements[k])
-        if not res <= PSD_TOL:
-            violations.append(Violation(f"decomposition of element {k} off by {res:.3e}", res))
+            violations.append(f"state {k} trace {tr:.12g}")
     return ValidationReport(tuple(violations))
 
 

@@ -11,9 +11,9 @@ Every JSON text the package writes comes from ``dumps``, which reproduces
 matrix leaf written as its nested lists would be.  ``matrix_to_json``
 returns a float64 (r, c, 2) array, not lists: ``dumps`` writes a pair
 whose parts are both +0.0 as one constant string per indent level, and
-every other pair from one C-encoder pass over the nonzero parts.  Number
-lists (a payload read back from a file) are encoded once with the C
-encoder and the compact text is re-indented.
+every other pair from one C-encoder pass over the nonzero parts.  A matrix
+read back from a file, nested lists of float pairs, goes through the same
+array writer; every other list is written item by item.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def _write(obj: Any, newline: str, out) -> None:
         if not obj:
             out("[]")
             return
-        text = _reindent(obj, newline)
-        if text is not None:
-            out(text)
+        pairs = _as_pairs(obj)
+        if pairs is not None:
+            _write_matrix(pairs, newline, out)
             return
         sep = "[" + inner
         for item in obj:
@@ -170,45 +170,20 @@ def _write_matrix(arr: np.ndarray, newline: str, out) -> None:
     out(p0 + "]")
 
 
-def _reindent(obj: Union[list, tuple], newline: str) -> Union[str, None]:
-    """The indented text of a list nested to a uniform depth, else None.
+def _as_pairs(obj: Union[list, tuple]) -> Union[np.ndarray, None]:
+    """The float64 (r, c, 2) array of nested rows of [re, im] float pairs, else None.
 
-    The compact text of such a list has k opening brackets, k closing ones,
-    and between siblings j levels up exactly ``"]"*j + ", " + "["*j``; each
-    becomes its indented form, deepest first since a shallower separator
-    is a substring of a deeper one.  Strings (which may hold brackets or
-    ", "), empty lists (printed "[]") and ragged depth leave a bracket or
-    quote behind and fall back to the walk, as does a list holding an array
-    leaf, which the C encoder rejects.
+    A matrix read back from a file arrives in this form.  Only ``float``
+    leaves qualify, so an int, bool or string keeps its own text; ragged
+    rows fail the conversion or the shape check.
     """
-    first = obj
-    while isinstance(first, (list, tuple)) and first:
-        first = first[0]
-    if isinstance(first, (str, dict, np.ndarray)):
-        return None
     try:
-        text = _encode(obj)
-    except TypeError:
+        if not all(type(x) is float for row in obj for pair in row for x in pair):
+            return None
+        arr = np.array(obj, dtype=np.float64)
+    except (TypeError, ValueError):
         return None
-    k = len(text) - len(text.lstrip("["))
-    if '"' in text or "[]" in text or not text.endswith("]" * k):
-        return None
-    pad = [newline + "  " * t for t in range(k + 1)]
-    body = text[k:-k]
-    # every bracket left inside must belong to a replaced separator
-    unmatched = body.count("[") + body.count("]")
-    for j in range(k - 1, 0, -1):
-        sep = "]" * j + ", " + "[" * j
-        unmatched -= 2 * j * body.count(sep)
-        closes = "".join(pad[t] + "]" for t in range(k - 1, k - j - 1, -1))
-        opens = "".join(pad[t] + "[" for t in range(k - j, k))
-        body = body.replace(sep, closes + "," + opens + pad[k])
-    if unmatched:
-        return None
-    body = body.replace(", ", "," + pad[k])
-    head = "".join("[" + pad[t] for t in range(1, k + 1))
-    tail = "".join(pad[t] + "]" for t in range(k - 1, -1, -1))
-    return head + body + tail
+    return arr if arr.ndim == 3 and arr.shape[2] == 2 and arr.size else None
 
 
 def write_json(path: Union[str, Path], payload: dict) -> str:

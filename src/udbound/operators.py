@@ -1,8 +1,8 @@
 """Dense complex Hermitian linear algebra on multipartite spaces.
 
-Operators carry their local-dimension signature, and constructors
-symmetrize and record the Hermiticity deviation.  All values are
-immutable; every function here is pure.
+Operators carry their local-dimension signature, and constructors reject
+non-finite entries, symmetrize and record the Hermiticity deviation.  All
+values are immutable; every function here is pure.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class HermitianOperator:
 
     The stored matrix is the symmetrized input (A + A^dag)/2; the max-entry
     deviation |A - A^dag| of the raw input is recorded and inputs beyond
-    ``HERMITICITY_LIMIT`` are rejected.
+    ``HERMITICITY_LIMIT``, or with a non-finite entry, are rejected.
     """
 
     matrix: np.ndarray
@@ -84,8 +84,14 @@ class HermitianOperator:
             raise ValueError(
                 f"matrix side {mat.shape[0]} does not match total dimension {dims.total}"
             )
-        deviation = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-        if deviation > HERMITICITY_LIMIT:
+        # a non-finite entry makes the deviation NaN or inf (inf - inf is NaN, quietly)
+        with np.errstate(invalid="ignore"):
+            deviation = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
+        if not deviation <= HERMITICITY_LIMIT:
+            bad = np.argwhere(~np.isfinite(mat))
+            if bad.size:
+                row, col = (int(k) for k in bad[0])
+                raise ValueError(f"matrix entry ({row}, {col}) is {mat[row, col]}, not finite")
             raise ValueError(
                 f"hermiticity deviation {deviation:.3e} exceeds tolerance {HERMITICITY_LIMIT:.1e}"
             )
@@ -119,9 +125,6 @@ class HermitianOperator:
         return HermitianOperator(self.matrix * float(scalar), self.dims)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(-self.matrix, self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,11 +309,6 @@ def nan_max(values: Iterable[float]) -> float:
 def psd_violation(op: Union[HermitianOperator, np.ndarray]) -> float:
     """max(0, -smallest eigenvalue); NaN for a non-finite operator, so it fails ``<= tol``."""
     return nan_max((0.0, -min_eigenvalue(op)))
-
-
-def is_psd(op: Union[HermitianOperator, np.ndarray], tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
-    return min_eigenvalue(op) >= -tol
 
 
 def compress(op: HermitianOperator, basis: np.ndarray) -> HermitianOperator:

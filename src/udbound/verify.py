@@ -92,17 +92,13 @@ def check_no_error(ensemble: Ensemble, measurement: Measurement, tol: float = 1e
     return VerificationReport(tolerance=tol, residuals={"3": worst}, details={"3": detail})
 
 
-def _completeness_residual(measurement: Measurement) -> float:
-    return nan_max((measurement.completeness_residual(), measurement.psd_residual()))
-
-
 def _precheck(ensemble: Ensemble, measurement: Measurement, tol: float) -> None:
     report = check_no_error(ensemble, measurement, tol)
     if not report.passed:
         raise PrecheckError(
             f"no-error precheck failed (worst residual {report.residuals['3']:.3e})"
         )
-    comp = _completeness_residual(measurement)
+    comp = nan_max((measurement.completeness_residual(), measurement.psd_residual()))
     if not comp <= tol:
         raise PrecheckError(f"POVM completeness precheck failed (residual {comp:.3e})")
 

@@ -20,16 +20,15 @@ from udbound import (
     example_cone_generators,
     hs_inner,
     identity,
-    in_conclusive_dual,
     in_generated_dual,
     is_product_state,
     load_cones,
     min_eigenvalue,
     partial_transpose,
-    ppt_check,
     tensor,
 )
 from udbound.cones import RANK_TOL, check_no_error_cone, no_error_subspaces
+from udbound.operators import PSD_TOL
 from udbound.jsonio import matrix_to_json, write_json
 from helpers import nested_support_ensemble, random_ensemble, random_psd
 
@@ -120,53 +119,6 @@ def test_no_error_subspaces_split_the_support_once(case):
         for j, other in enumerate(ensemble.states):
             if j != i:
                 assert np.abs(lifted.conj().T @ other.matrix @ lifted).max(initial=0.0) <= RANK_TOL
-
-
-class TestInConclusiveDual:
-    def test_certificate_shift_is_member_with_zero_compression(self):
-        ensemble, fixtures = build_example1()
-        for i in range(3):
-            shifted = fixtures.global_certificate - ensemble.priors[i] * ensemble.states[i]
-            ok, lo = in_conclusive_dual(shifted, ensemble, i, 1e-9)
-            assert ok
-            assert abs(lo) < 1e-12
-
-    def test_negative_on_support_fails(self):
-        ensemble, _ = build_example1()
-        phi1 = np.array([3.0, 0.0, 0.0, -1.0]) / math.sqrt(10.0)
-        ok, lo = in_conclusive_dual(-1.0 * proj_op(phi1, (2, 2)), ensemble, 0, 1e-9)
-        assert not ok
-        assert lo < -0.9
-
-    def test_psd_always_member(self):
-        rng = np.random.default_rng(21)
-        ensemble, _ = build_example1()
-        for _ in range(10):
-            op = random_psd(rng, (2, 2), rank=3)
-            for i in range(3):
-                ok, _ = in_conclusive_dual(op, ensemble, i, 1e-9)
-                assert ok
-
-    def test_members_pair_nonnegatively_with_cone(self):
-        # a dual member must pair >= -tol with every PSD operator supported
-        # on the conclusive subspace
-        rng = np.random.default_rng(25)
-        ensemble, fixtures = build_example1()
-        for i in range(3):
-            basis = conclusive_subspace(ensemble, i)
-            k = basis.shape[1]
-            shifted = fixtures.global_certificate - ensemble.priors[i] * ensemble.states[i]
-            candidates = [shifted] + [random_psd(rng, (2, 2), rank=2) for _ in range(5)]
-            for op in candidates:
-                ok, _ = in_conclusive_dual(op, ensemble, i, 1e-9)
-                assert ok
-                for _ in range(10):
-                    small = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-                    small = small @ small.conj().T
-                    cone_point = HermitianOperator(
-                        basis @ small @ basis.conj().T, ensemble.dims
-                    )
-                    assert hs_inner(cone_point, op) >= -1e-9 * np.linalg.norm(small)
 
 
 class TestInGeneratedDual:
@@ -270,22 +222,23 @@ class TestProductForm:
 
 
 class TestPptCheck:
+    """Positivity of the partial transpose across a cut, a necessary condition for separability."""
+
     def test_product_operator_passes(self):
         rng = np.random.default_rng(23)
         a = random_psd(rng, (2,), rank=2)
         b = random_psd(rng, (2,), rank=1)
-        assert ppt_check(tensor([a, b]), (0,))
+        assert min_eigenvalue(partial_transpose(tensor([a, b]), (0,))) >= -PSD_TOL
 
     def test_singlet_fails(self):
         op = proj_op(PSI_M, (2, 2))
-        assert not ppt_check(op, (0,))
         assert min_eigenvalue(partial_transpose(op, (0,))) == pytest.approx(-0.5, abs=1e-12)
 
     def test_shifted_state_entangled(self):
         _, fixtures = build_example2(3)
         omega = fixtures.shifted_states[0].projector()
-        assert not ppt_check(omega, (0,))
-        assert not ppt_check(omega, (1,))
+        for cut in ((0,), (1,)):
+            assert min_eigenvalue(partial_transpose(omega, cut)) < -PSD_TOL
 
     def test_decomposed_fixture_elements_pass_all_cuts(self):
         for builder, args in ((build_example1, ()), (build_example2, (3,))):
@@ -296,14 +249,7 @@ class TestPptCheck:
             for el, dec in zip(m.elements, m.decompositions):
                 assert dec is not None and dec.residual(el) < 1e-9
                 for cut in cuts:
-                    assert ppt_check(el, cut)
-
-    def test_invalid_cut(self):
-        op = identity((2, 2))
-        with pytest.raises(ValueError, match="invalid cut"):
-            ppt_check(op, ())
-        with pytest.raises(ValueError, match="invalid cut"):
-            ppt_check(op, (0, 1))
+                    assert min_eigenvalue(partial_transpose(el, cut)) >= -PSD_TOL
 
 
 class TestIsProductState:

@@ -19,9 +19,9 @@ from udbound import (
     save_ensemble,
     save_measurement,
     validate_ensemble,
-    validate_measurement,
 )
 from udbound.ensembles import ensemble_from_dict, ensemble_to_dict, measurement_from_dict, measurement_to_dict
+from udbound.operators import PSD_TOL
 
 
 class TestValidation:
@@ -60,8 +60,10 @@ class TestExample1:
         _, fixtures = build_example1()
         assert fixtures.global_measurement.completeness_residual() < 1e-12
         assert fixtures.locc_measurement.completeness_residual() < 1e-12
-        assert validate_measurement(fixtures.global_measurement).ok
-        assert validate_measurement(fixtures.locc_measurement).ok
+        for m in (fixtures.global_measurement, fixtures.locc_measurement):
+            assert m.psd_residual() <= PSD_TOL and m.completeness_residual() <= PSD_TOL
+            for el, dec in zip(m.elements, m.decompositions):
+                assert dec is None or dec.residual(el) <= PSD_TOL
 
     def test_certificate_traces(self):
         _, fixtures = build_example1()
@@ -133,8 +135,10 @@ class TestExample2:
     @pytest.mark.parametrize("d", [3, 4])
     def test_measurements_are_povms(self, d):
         _, fixtures = build_example2(d)
-        assert validate_measurement(fixtures.global_measurement).ok
-        assert validate_measurement(fixtures.locc_measurement).ok
+        for m in (fixtures.global_measurement, fixtures.locc_measurement):
+            assert m.psd_residual() <= PSD_TOL and m.completeness_residual() <= PSD_TOL
+            for el, dec in zip(m.elements, m.decompositions):
+                assert dec is None or dec.residual(el) <= PSD_TOL
 
     def test_locc_protocol_reconstructs(self):
         _, fixtures = build_example2(3)

@@ -195,6 +195,10 @@ class TestWriter:
     @example(((1, (2, 3)), [4, 5]))
     @example([0.5, ", ", "]], [["])
     @example([[1, "x], [y"], [2, "a, b"]])
+    @example([[[0.0, -0.0], [1.5, 0.0]], [[0.0, 0.0], [math.nan, -math.inf]]])
+    @example([[[0.5, 1]], [[True, 0.0]]])
+    @example([[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]])
+    @example([[[1.0, 2.0, 3.0]]])
     def test_matches_json_dumps(self, obj):
         assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
@@ -204,7 +208,9 @@ class TestWriter:
     @example([1.5, np.array([[[math.nan, -0.0]], [[math.inf, -math.inf]]])])
     @example({"empty": [np.zeros((0, 3, 2)), np.zeros((2, 0, 2))]})
     def test_array_leaves_match_json_dumps_of_lists(self, tree):
-        assert dumps(tree) == json.dumps(listify(tree), indent=2, sort_keys=True)
+        expected = json.dumps(listify(tree), indent=2, sort_keys=True)
+        assert dumps(tree) == expected
+        assert dumps(listify(tree)) == expected  # the payload as read back from a file
 
     @pytest.mark.parametrize(
         "leaf",

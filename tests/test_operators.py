@@ -15,7 +15,7 @@ from udbound import (
     compress,
     hs_inner,
     identity,
-    is_psd,
+    min_eigenvalue,
     partial_trace,
     tensor,
 )
@@ -63,6 +63,15 @@ class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         mat = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="hermiticity deviation"):
+            HermitianOperator(mat, DimVector((2,)))
+
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from inf - inf
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 1)])
+    def test_rejects_non_finite_entry(self, bad, entry):
+        mat = np.eye(2, dtype=complex)
+        mat[entry] = bad
+        with pytest.raises(ValueError, match=rf"matrix entry \({entry[0]}, {entry[1]}\) is .*, not finite"):
             HermitianOperator(mat, DimVector((2,)))
 
     def test_dims_must_match_matrix(self):
@@ -207,15 +216,17 @@ class TestPartialTrace:
 
 
 class TestIsPsd:
+    """PSD-ness read off the smallest eigenvalue."""
+
     def test_identity(self):
-        assert is_psd(identity((2, 2)), 1e-9)
+        assert min_eigenvalue(identity((2, 2))) >= -1e-9
 
     def test_indefinite(self):
-        assert not is_psd(proj_op(PSI_M, (2, 2)) - 0.5 * identity((2, 2)), 1e-9)
+        assert min_eigenvalue(proj_op(PSI_M, (2, 2)) - 0.5 * identity((2, 2))) < -1e-9
 
     def test_example1_certificate(self):
         _, fixtures = build_example1()
-        assert is_psd(fixtures.global_certificate, 1e-9)
+        assert min_eigenvalue(fixtures.global_certificate) >= -1e-9
 
 
 class TestCompress:

@@ -18,14 +18,12 @@ from udbound import (
     build_two_pure,
     check_no_error,
     example_cone_generators,
-    hs_inner,
-    in_conclusive_dual,
-    is_psd,
     min_eigenvalue,
     solve,
     solve_global,
     solve_global_certificate,
     solve_separable_bound,
+    verify_optimality,
 )
 from udbound.jsonio import dumps
 from udbound.solver import _project_cone, _side_groups, hermitian_basis, smat, svec
@@ -252,13 +250,7 @@ class TestGlobalProgram:
         assert report.value == pytest.approx(0.75, abs=1e-6)
         cert = report.dual_certificate
         assert cert.trace == pytest.approx(0.75, abs=1e-6)
-        assert is_psd(cert, 1e-6)
-        for i in range(3):
-            shifted = cert - ensemble.priors[i] * ensemble.states[i]
-            ok, _ = in_conclusive_dual(shifted, ensemble, i, 1e-6)
-            assert ok
-            assert abs(hs_inner(report.measurement.elements[i + 1], shifted)) < 1e-6
-        assert abs(hs_inner(report.measurement.elements[0], cert)) < 1e-6
+        assert verify_optimality(ensemble, report.measurement, cert, tol=1e-6).passed
 
     def test_example1_measurement_valid(self):
         ensemble, _ = build_example1()
@@ -299,7 +291,7 @@ class TestCertificateProgram:
         cert, value = solve_global_certificate(ensemble, tol=1e-8)
         assert value == pytest.approx(0.75, abs=1e-6)
         assert cert.trace == pytest.approx(0.75, abs=1e-6)
-        assert is_psd(cert, 1e-7)
+        assert min_eigenvalue(cert) >= -1e-7
 
     def test_orthogonal_pair_perfectly_distinguishable(self):
         ensemble = build_two_pure(basis_state((2,), (0,)), basis_state((2,), (1,)), 0.5)

@@ -20,7 +20,6 @@ from udbound import (
     example_cone_generators,
     hs_inner,
     identity,
-    is_psd,
     load_certificate,
     load_cones,
     load_ensemble,
@@ -32,7 +31,6 @@ from udbound import (
     save_ensemble,
     save_measurement,
     solve_separable_bound,
-    validate_measurement,
     verify_locc_equality,
     verify_optimality,
     verify_separable_certificate,
@@ -423,7 +421,10 @@ class TestReproducibilityFromSerializedInputs:
 
 
 class TestNanOperators:
-    """A NaN entry fails every PSD check; LAPACK alone reads these matrices as PSD."""
+    """A NaN entry fails every PSD check on a bare array, and no operator holds one.
+
+    LAPACK alone reads these matrices as PSD.
+    """
 
     NAN_MATRICES = [
         [[math.nan, 0], [0, 1]],
@@ -434,20 +435,15 @@ class TestNanOperators:
     def test_not_psd(self, mat):
         mat = np.array(mat, dtype=np.complex128)
         assert math.isnan(min_eigenvalue(mat))
-        assert not is_psd(mat)
-        assert not is_psd(HermitianOperator(mat, DimVector((len(mat),))))
+        with pytest.raises(ValueError, match="not finite"):
+            HermitianOperator(mat, DimVector((len(mat),)))
 
-    def test_validate_measurement_flags_nan_element(self, example1):
+    def test_nan_element_is_rejected(self, example1):
         ensemble, fixtures, _ = example1
-        elements = list(fixtures.global_measurement.elements)
-        mat = np.array(elements[1].matrix)
+        mat = np.array(fixtures.global_measurement.elements[1].matrix)
         mat[0, 0] = math.nan
-        elements[1] = HermitianOperator(mat, ensemble.dims)
-        measurement = Measurement(ensemble.dims, tuple(elements))
-        report = validate_measurement(measurement)
-        assert not report.ok and "not PSD" in str(report)
-        assert math.isnan(measurement.psd_residual())
-        assert not check_no_error(ensemble, measurement).passed
+        with pytest.raises(ValueError, match=r"matrix entry \(0, 0\) is \(nan\+0j\), not finite"):
+            HermitianOperator(mat, ensemble.dims)
 
     def test_nan_local_povm_element_raises(self, example1):
         ensemble, fixtures, cones = example1
@@ -465,15 +461,12 @@ class TestNanOperators:
         with pytest.raises(ProtocolError):
             verify_locc_equality(ensemble, mutated, fixtures.sep_certificate, cones)
 
-    def test_nan_certificate_fails_every_verifier(self, example1):
-        ensemble, fixtures, cones = example1
+    def test_nan_certificate_is_rejected(self, example1):
+        ensemble, fixtures, _ = example1
         mat = np.array(fixtures.sep_certificate.matrix)
         mat[2, 2] = math.nan
-        certificate = HermitianOperator(mat, ensemble.dims)
-        prop1 = verify_optimality(ensemble, fixtures.global_measurement, certificate)
-        thm3 = verify_separable_certificate(ensemble, fixtures.locc_measurement, certificate, cones)
-        assert "7a" in prop1.failing and not prop1.passed
-        assert "14a" in thm3.failing and "14a" not in thm3.unverified
+        with pytest.raises(ValueError, match=r"matrix entry \(2, 2\) is \(nan\+0j\), not finite"):
+            HermitianOperator(mat, ensemble.dims)
 
 
 class TestConesOfOtherStates:
