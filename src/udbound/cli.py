@@ -54,9 +54,9 @@ def _dim_cap() -> int:
 
 
 def _emit(payload: dict, fmt: str, out: str | None, text_lines: list[str]) -> None:
-    text = write_json(out, payload) if out else None
+    parts = write_json(out, payload) if out else None
     if fmt == "json":
-        print(text or dumps(payload) + "\n", end="")
+        print("".join(parts) if parts else dumps(payload) + "\n", end="")
     else:
         for line in text_lines:
             print(line)

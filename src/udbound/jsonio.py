@@ -96,9 +96,14 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 def dumps(obj: Any) -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``."""
+    return "".join(_parts(obj))
+
+
+def _parts(obj: Any) -> list[str]:
+    """The text of :func:`dumps` in pieces, unjoined."""
     parts: list[str] = []
     _write(obj, "\n", parts.append)
-    return "".join(parts)
+    return parts
 
 
 def _write(obj: Any, newline: str, out) -> None:
@@ -186,11 +191,17 @@ def _as_pairs(obj: Union[list, tuple]) -> Union[np.ndarray, None]:
     return arr if arr.ndim == 3 and arr.shape[2] == 2 and arr.size else None
 
 
-def write_json(path: Union[str, Path], payload: dict) -> str:
-    """Write ``dumps(payload)`` and a newline to ``path``; return the text written."""
-    text = dumps(payload) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
-    return text
+def write_json(path: Union[str, Path], payload: dict) -> list[str]:
+    """Write ``dumps(payload)`` and a newline to ``path``; return the pieces written.
+
+    The pieces go to the file one by one, so the whole text is never held
+    as one string; joined, they are the text written.
+    """
+    parts = _parts(payload)
+    parts.append("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)
+    return parts
 
 
 def read_json(path: Union[str, Path]) -> Any:

@@ -4,10 +4,17 @@ Problems are linear objectives over a tuple of PSD variable blocks (a
 side-1 block is a nonnegative scalar) subject to scalar affine constraints
 whose coefficients are Hermitian operators per block.  The solver is an
 over-relaxed ADMM splitting: the iterate alternates an exact projection
-onto the affine constraints (one Cholesky factorization of A A^T, reused
-for every iteration) with eigenvalue-clipping projections onto the cone,
-plus a scaled dual update.  Everything is deterministic given the inputs;
-the seed is carried through to the report for provenance only.
+onto the affine constraints (one Cholesky factorization of G = A A^T
+gives G^-1 A once per solve, so each iteration takes one product with it)
+with eigenvalue-clipping projections onto the cone, plus a scaled dual
+update.  Everything is deterministic given the inputs; the seed is
+carried through to the report for provenance only.
+
+The iteration runs on the program with its right-hand side b and its
+objective c each scaled to a largest absolute entry of 1, so the
+tolerance is relative to max|b| and max|c|; the reported value, blocks,
+multipliers and residuals are scaled back, and the residuals are
+absolute, in the program's own units.
 
 Hermitian blocks are handled in an isometric real parameterization
 ("svec"): diagonal entries first, then sqrt(2) times the real and
@@ -128,21 +135,45 @@ class ConicProgram:
         for k, con in enumerate(self.constraints):
             if not math.isfinite(con.rhs):
                 raise ValueError(f"constraint {k} rhs {con.rhs} is not finite")
+        # names and shapes one coefficient at a time, up to the first bad one;
+        # values one stack per block, so the first bad coefficient is reported
+        where_name: list[tuple[str, str]] = []
+        stacks: dict[str, tuple[list[int], list[np.ndarray]]] = {}
+        malformed = None
         for where, coeffs in [("objective", self.objective)] + [
             (f"constraint {k}", c.coeffs) for k, c in enumerate(self.constraints)
         ]:
             for name, mat in coeffs.items():
                 if name not in sides:
-                    raise ValueError(f"{where} references unknown block {name!r}")
+                    malformed = f"{where} references unknown block {name!r}"
+                    break
                 mat = np.asarray(mat)
                 if mat.shape != (sides[name], sides[name]):
-                    raise ValueError(f"{where} coefficient for {name!r} has shape {mat.shape}")
-                top = float(np.abs(mat).max())
-                if not math.isfinite(top):
-                    raise ValueError(f"{where} coefficient for {name!r} is not finite")
-                scale = max(1.0, top)
-                if float(np.abs(mat - mat.conj().T).max()) > 1e-9 * scale:
-                    raise ValueError(f"{where} coefficient for {name!r} is not Hermitian")
+                    malformed = f"{where} coefficient for {name!r} has shape {mat.shape}"
+                    break
+                pos, mats = stacks.setdefault(name, ([], []))
+                pos.append(len(where_name))
+                mats.append(mat)
+                where_name.append((where, name))
+            if malformed:
+                break
+        bad = []  # per block, the first coefficient that is not finite and the first not Hermitian
+        for pos, mats in stacks.values():
+            stack = np.stack(mats)
+            top = np.abs(stack).max(axis=(1, 2))
+            with np.errstate(invalid="ignore"):
+                skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+            unhermitian = skew > 1e-9 * np.maximum(1.0, top)
+            for flags, what in ((~np.isfinite(top), "is not finite"), (unhermitian, "is not Hermitian")):
+                hits = np.flatnonzero(flags)
+                if hits.size:
+                    bad.append((pos[hits[0]], what))
+        if bad:
+            first, what = min(bad, key=lambda hit: hit[0])  # a tie keeps "is not finite"
+            where, name = where_name[first]
+            raise ValueError(f"{where} coefficient for {name!r} {what}")
+        if malformed:
+            raise ValueError(malformed)
 
 
 @dataclass
@@ -201,12 +232,8 @@ class _Assembled:
 
 
 def _assemble(program: ConicProgram) -> _Assembled:
-    blocks = list(program.blocks)
-    slack = 0
-    for k, con in enumerate(program.constraints):
-        if con.sense == "ge":
-            blocks.append(Block(f"__slack{k}", 1))
-            slack += 1
+    ge = [k for k, con in enumerate(program.constraints) if con.sense == "ge"]
+    blocks = list(program.blocks) + [Block(f"__slack{k}", 1) for k in ge]
 
     layout: list[tuple[str, int, slice]] = []
     offset = 0
@@ -225,17 +252,18 @@ def _assemble(program: ConicProgram) -> _Assembled:
     if flip:
         c = -c
 
-    m = len(program.constraints)
-    A = np.zeros((m, total))
-    b = np.zeros(m)
+    # each block's coefficients from every constraint as one stack
+    rows: dict[str, tuple[list[int], list[np.ndarray]]] = {}
     for k, con in enumerate(program.constraints):
         for name, mat in con.coeffs.items():
-            side, sl = index[name]
-            A[k, sl] = svec(np.asarray(mat, dtype=np.complex128))
-        if con.sense == "ge":
-            _, sl = index[f"__slack{k}"]
-            A[k, sl] = -1.0
-        b[k] = con.rhs
+            ks, mats = rows.setdefault(name, ([], []))
+            ks.append(k)
+            mats.append(mat)
+    A = np.zeros((len(program.constraints), total))
+    for name, (ks, mats) in rows.items():
+        A[ks, index[name][1]] = svec(np.stack(mats))
+    A[ge, range(total - len(ge), total)] = -1.0  # the slack blocks close the layout
+    b = np.array([con.rhs for con in program.constraints], dtype=np.float64)
     return _Assembled(c, A, b, layout, flip)
 
 
@@ -257,7 +285,11 @@ def _project_cone(vec: np.ndarray, groups) -> np.ndarray:
             continue
         w, v = np.linalg.eigh(smat(x, side))
         w = np.maximum(w, 0.0)
-        out[idx] = svec((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2))
+        clipped = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        # svec of each clipped matrix: gather its real coordinates, scale the off-diagonal ones
+        coords = clipped.reshape(len(idx), side * side).view(np.float64)[:, _indices(side)[3]]
+        coords[:, side:] *= _SQRT2
+        out[idx] = coords
     return out
 
 
@@ -269,57 +301,72 @@ def solve(
 ) -> SolveReport:
     """Run the splitting iteration until all three residuals fall below tol.
 
-    Terminates with status ``optimal`` (affine, stationarity, and gap
-    residuals all within tol relative to the data scale), ``max_iterations``
-    with the best iterate, or ``infeasible`` when the multipliers diverge
-    while the affine residual stalls.  Raises ``LinAlgError`` when the
-    constraint rows are linearly dependent (A A^T numerically singular).
+    The iteration runs on the program with its right-hand side b and its
+    objective c each divided by its largest absolute entry, so ``tol`` is
+    relative to max|b| and max|c|: it stops with status ``optimal`` once
+    the affine residual is within tol·max|b|, the stationarity residual
+    within tol·max|c|, and the gap within tol times the larger of
+    max|b|·max|c| and the objective values.  Otherwise it stops with
+    ``max_iterations`` and the last iterate, or ``infeasible`` when the
+    multipliers diverge while the affine residual stalls.  The reported
+    value, blocks, multipliers and residuals are scaled back to the
+    program's own units, so the residuals are absolute.  Raises
+    ``LinAlgError`` when the constraint rows are linearly dependent
+    (A A^T numerically singular), and ``ValueError`` when an iterate, the
+    value or a block is not finite.
     """
     data = _assemble(program)
-    c, A, b, layout = data.c, data.A, data.b, data.layout
+    A, layout = data.A, data.layout
     m, total = A.shape
     groups = _side_groups(layout)
+    # unit scaling: the loop solves min c'·z s.t. A z = b', with b' = b / b_unit and c' = c / c_unit
+    b_unit = float(np.abs(data.b).max(initial=0.0)) or 1.0
+    c_unit = float(np.abs(data.c).max(initial=0.0)) or 1.0
+    b, c = data.b / b_unit, data.c / c_unit
 
     def finish(status, z, nu, res, iters):
-        blocks = {}
-        for name, side, sl in layout:
-            if name.startswith("__slack"):
-                continue
-            blocks[name] = smat(z[sl], side)
-        value = float(c @ z)
-        if data.flip:
-            value = -value
+        z = z * b_unit
+        value = float(data.c @ z)
+        if not (math.isfinite(value) and np.isfinite(z).all()):
+            raise ValueError(f"iterate is not finite at iteration {iters} (value {value})")
+        blocks = {name: smat(z[sl], side) for name, side, sl in layout if not name.startswith("__slack")}
         return SolveReport(
             status=status,
-            value=value,
+            value=-value if data.flip else value,
             blocks=blocks,
-            residuals=res,
+            residuals={"primal": res[0] * b_unit, "dual": res[1] * c_unit, "gap": res[2] * b_unit * c_unit},
             iterations=iters,
             seed=seed,
             tolerance=tol,
-            multipliers=None if nu is None else nu.copy(),
+            multipliers=None if nu is None else nu * c_unit,
         )
 
     if m == 0:
         z = _project_cone(-c, groups)  # any cone point works; 0 is optimal iff c in dual
         if float(c @ z) < -tol:
-            return finish("infeasible", np.zeros(total), None, {"primal": 0.0, "dual": 0.0, "gap": 0.0}, 0)
-        return finish("optimal", np.zeros(total), np.zeros(0), {"primal": 0.0, "dual": 0.0, "gap": 0.0}, 0)
+            return finish("infeasible", np.zeros(total), None, (0.0, 0.0, 0.0), 0)
+        return finish("optimal", np.zeros(total), np.zeros(0), (0.0, 0.0, 0.0), 0)
 
     try:
         factor = cho_factor(A @ A.T, lower=True)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("affine constraint Gram matrix is numerically singular") from exc
 
-    b_scale = max(1.0, float(np.abs(b).max()))
-    c_scale = max(1.0, float(np.abs(c).max()))
+    # The affine step's multipliers are nu = G^-1 (sigma (A w - b) - A c) with G = A A^T,
+    # that is sigma (G^-1 A) w - G^-1 (sigma b + A c): one product per iteration, and a
+    # triangular solve only when sigma changes.
+    gram_a = cho_solve(factor, A, check_finite=False)
     Ac = A @ c
 
+    def shift(sigma):
+        return cho_solve(factor, sigma * b + Ac, check_finite=False)
+
     sigma = _SIGMA
+    offset = shift(sigma)
     z = np.zeros(total)
     u = np.zeros(total)
     nu = np.zeros(m)
-    res = {"primal": np.inf, "dual": np.inf, "gap": np.inf}
+    res = (np.inf, np.inf, np.inf)
     status = "max_iterations"
     iters = max_iter
     stall_mark = None
@@ -327,24 +374,26 @@ def solve(
 
     for it in range(1, max_iter + 1):
         w = z - u
-        nu = cho_solve(factor, sigma * (A @ w - b) - Ac, check_finite=False)
+        nu = sigma * (gram_a @ w) - offset
         x = w - (c + A.T @ nu) / sigma
         xh = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * z
         v = xh + u
-        z = _project_cone(v, groups)
+        try:
+            z = _project_cone(v, groups)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"iterate cannot be projected at iteration {it} ({exc})") from exc
         u = v - z
 
         if it % _CHECK_EVERY == 0 or it == max_iter:
-            pres = float(np.abs(A @ z - b).max()) if m else 0.0
+            pres = float(np.abs(A @ z - b).max())
             dres = float(np.abs(c + A.T @ nu + sigma * u).max())
             if not (math.isfinite(pres) and math.isfinite(dres)):
                 raise ValueError(f"iterate is not finite at iteration {it} (primal {pres}, dual {dres})")
             pobj = float(c @ z)
             dobj = -float(b @ nu)
             gap = abs(pobj - dobj)
-            res = {"primal": pres, "dual": dres, "gap": gap}
-            scale_gap = max(1.0, abs(pobj), abs(dobj))
-            if pres <= tol * b_scale and dres <= tol * c_scale and gap <= tol * scale_gap:
+            res = (pres, dres, gap)
+            if pres <= tol and dres <= tol and gap <= tol * max(1.0, abs(pobj), abs(dobj)):
                 status = "optimal"
                 iters = it
                 break
@@ -352,12 +401,7 @@ def solve(
             # multiplier blowup with a stalled affine residual signals infeasibility
             if it % 5000 == 0:
                 y_norm = sigma * float(np.abs(u).max())
-                if (
-                    stall_mark is not None
-                    and pres > 1e-4 * b_scale
-                    and pres > 0.999 * stall_pres
-                    and y_norm > 1e3
-                ):
+                if stall_mark is not None and pres > 1e-4 and pres > 0.999 * stall_pres and y_norm > 1e3:
                     status = "infeasible"
                     iters = it
                     break
@@ -365,12 +409,10 @@ def solve(
                 stall_pres = pres
 
             # residual balancing keeps the two residuals comparable
-            if it % 100 == 0 and max(pres / b_scale, dres / c_scale) > 50 * tol:
-                if pres / b_scale > 10 * dres / c_scale:
-                    sigma *= 2.0
-                    u /= 2.0
-                elif dres / c_scale > 10 * pres / b_scale:
-                    sigma /= 2.0
-                    u *= 2.0
+            if it % 100 == 0 and max(pres, dres) > 50 * tol and max(pres, dres) > 10 * min(pres, dres):
+                step = 2.0 if pres > dres else 0.5
+                sigma *= step
+                u /= step
+                offset = shift(sigma)
 
     return finish(status, z, nu, res, iters)

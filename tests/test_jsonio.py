@@ -326,8 +326,9 @@ def test_solver_reports_match_json_dumps(name, kind, tmp_path):
     else:
         report = solve_separable_bound(ensemble, cones, tol=1e-8, seed=0)
     payload = report.to_dict()
-    text = write_json(tmp_path / "report.json", payload)
-    assert text == json.dumps(listify(payload), indent=2, sort_keys=True) + "\n"
+    parts = write_json(tmp_path / "report.json", payload)
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert text == "".join(parts) == json.dumps(listify(payload), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from udbound import (
     solve_separable_bound,
     verify_optimality,
 )
+from udbound import solver
 from udbound.jsonio import dumps
 from udbound.solver import _project_cone, _side_groups, hermitian_basis, smat, svec
 from helpers import random_ensemble
@@ -184,9 +185,54 @@ class TestNonFiniteData:
             self.program(rhs=bad)
 
     def test_overflowing_iterate_raises(self):
-        program = self.program(objective=np.diag([1e308, -1e308]).astype(complex))
-        with np.errstate(all="ignore"), pytest.raises(ValueError):
+        # 0.5 Tr X = 1e308 forces Tr X = 2e308: the optimum itself overflows
+        program = self.program(coeff=0.5 * np.eye(2, dtype=complex), rhs=1e308)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             solve(program, max_iter=3000)
+
+    def test_projection_failure_names_the_iteration(self, monkeypatch):
+        project, calls = solver._project_cone, []
+
+        def failing_third_time(vec, groups):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return project(vec, groups)
+
+        monkeypatch.setattr(solver, "_project_cone", failing_third_time)
+        with pytest.raises(ValueError, match="at iteration 3 .*Eigenvalues did not converge"):
+            solve(self.program())
+
+    def test_huge_objective_solves(self):
+        program = self.program(objective=np.diag([1e308, -1e308]).astype(complex))
+        report = solve(program, max_iter=3000)
+        assert report.status == "optimal"
+        assert report.value == pytest.approx(-1e308, rel=1e-6)
+
+
+class TestFirstBadCoefficientIsNamed:
+    EYE = np.eye(2, dtype=complex)
+    SKEW = np.array([[0, 1], [0, 0]], dtype=complex)
+    INF = np.diag([math.inf, 1.0]).astype(complex)
+
+    @pytest.mark.parametrize(
+        "objective, rows, message",
+        [
+            (EYE, [{"x": EYE}, {"x": SKEW}, {"x": INF}], "constraint 1 coefficient for 'x' is not Hermitian"),
+            (EYE, [{"x": EYE}, {"x": INF}, {"x": SKEW}], "constraint 1 coefficient for 'x' is not finite"),
+            (EYE, [{"x": EYE}, {"z": EYE}, {"x": INF}], "constraint 1 references unknown block 'z'"),
+            (EYE, [{"x": EYE}, {"x": np.eye(3)}, {"x": INF}], r"constraint 1 coefficient for 'x' has shape \(3, 3\)"),
+            (EYE, [{"x": EYE, "y": INF}, {"x": SKEW}], "constraint 0 coefficient for 'y' is not finite"),
+            (EYE, [{"x": SKEW, "y": INF}], "constraint 0 coefficient for 'x' is not Hermitian"),
+            (EYE, [{"y": INF, "x": SKEW}], "constraint 0 coefficient for 'y' is not finite"),
+            (EYE, [{"y": EYE, "z": EYE}, {"x": INF}], "constraint 0 references unknown block 'z'"),
+            (SKEW, [{"x": INF}], "objective coefficient for 'x' is not Hermitian"),
+        ],
+    )
+    def test_message(self, objective, rows, message):
+        blocks = (Block("x", 2), Block("y", 2))
+        with pytest.raises(ValueError, match=message):
+            ConicProgram(blocks, {"x": objective}, tuple(Constraint(row, 1.0) for row in rows))
 
 
 class TestSolveToys:
