@@ -2,9 +2,9 @@
 
 Exit codes: 0 success / verification pass / optimal solve, 1 verification
 fail (or no witnessed gap), 2 usage or input error, 3 solver hit the
-iteration cap, 4 detected infeasibility.  Written reports contain no
-timestamps and are byte-identical across runs with the same inputs and
-seed.
+iteration cap, 4 detected infeasibility or unboundedness.  Written reports
+contain no timestamps and are byte-identical across runs with the same
+inputs and seed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .verify import (
 
 DEFAULT_DIM_CAP = 1024
 
-_STATUS_EXIT = {"optimal": 0, "max_iterations": 3, "infeasible": 4}
+_STATUS_EXIT = {"optimal": 0, "max_iterations": 3, "infeasible": 4, "unbounded": 4}
 
 
 def _fmt(x: float) -> str:

@@ -3,12 +3,21 @@
 Problems are linear objectives over a tuple of PSD variable blocks (a
 side-1 block is a nonnegative scalar) subject to scalar affine constraints
 whose coefficients are Hermitian operators per block.  The solver is an
-over-relaxed ADMM splitting: the iterate alternates an exact projection
-onto the affine constraints (one Cholesky factorization of G = A A^T
-gives G^-1 A once per solve, so each iteration takes one product with it)
-with eigenvalue-clipping projections onto the cone, plus a scaled dual
-update.  Everything is deterministic given the inputs; the seed is
-carried through to the report for provenance only.
+over-relaxed ADMM splitting, written as a fixed-point map v -> F(v): an
+eigenvalue-clipping projection z onto the cone with remainder u = v - z,
+an exact projection x of z - u onto the affine constraints (one Cholesky
+factorization of G = A A^T gives G^-1 A once per solve, so each iteration
+takes one product with it), and F(v) = v + alpha (x - z).  An iteration
+is one application of F, that is one cone projection, and checks the
+residuals of its own (z, multipliers, u), so "optimal" certifies the same
+thing however v was reached.  F is accelerated by safeguarded type-II
+Anderson acceleration with memory 10 (Walker & Ni 2011; Zhang, O'Donoghue
+& Boyd 2020), which extrapolates from the last differences of v and
+g = F(v) - v.  An extrapolated point is kept only if its |g| is no larger
+than the last kept point's; otherwise the plain step from that point is
+taken and the memory cleared, as it is when residual balancing changes
+the ADMM penalty.  Everything is deterministic given the inputs; the seed
+is carried through to the report for provenance only.
 
 The iteration runs on the program with its right-hand side b and its
 objective c each scaled to a largest absolute entry of 1, so the
@@ -31,13 +40,14 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 
 from .operators import HermitianOperator
 
 _SQRT2 = math.sqrt(2.0)
 _SIGMA = 1.0  # initial ADMM penalty; residual balancing doubles or halves it
 _OVER_RELAX = 1.6  # over-relaxation factor of the affine step
-_CHECK_EVERY = 25  # iterations between residual checks
+_MEMORY = 10  # Anderson acceleration: secant pairs kept for the extrapolation
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,9 +318,13 @@ def solve(
     within tol·max|c|, and the gap within tol times the larger of
     max|b|·max|c| and the objective values.  Otherwise it stops with
     ``max_iterations`` and the last iterate, or ``infeasible`` when the
-    multipliers diverge while the affine residual stalls.  The reported
-    value, blocks, multipliers and residuals are scaled back to the
-    program's own units, so the residuals are absolute.  Raises
+    multipliers diverge while the affine residual stalls.  A program with
+    no constraints reports X = 0, with status ``unbounded`` when its
+    objective has no finite optimum.  An iteration is one cone projection
+    (see the module docstring for the accelerated map), and every
+    iteration checks the residuals.  The reported value, blocks,
+    multipliers and residuals are scaled back to the program's own units,
+    so the residuals are absolute.  Raises
     ``LinAlgError`` when the constraint rows are linearly dependent
     (A A^T numerically singular), and ``ValueError`` when an iterate, the
     value or a block is not finite.
@@ -344,7 +358,7 @@ def solve(
     if m == 0:
         z = _project_cone(-c, groups)  # any cone point works; 0 is optimal iff c in dual
         if float(c @ z) < -tol:
-            return finish("infeasible", np.zeros(total), None, (0.0, 0.0, 0.0), 0)
+            return finish("unbounded", np.zeros(total), None, (0.0, 0.0, 0.0), 0)
         return finish("optimal", np.zeros(total), np.zeros(0), (0.0, 0.0, 0.0), 0)
 
     try:
@@ -363,56 +377,86 @@ def solve(
 
     sigma = _SIGMA
     offset = shift(sigma)
-    z = np.zeros(total)
-    u = np.zeros(total)
+    v = z = np.zeros(total)
     nu = np.zeros(m)
     res = (np.inf, np.inf, np.inf)
     status = "max_iterations"
     iters = max_iter
     stall_mark = None
     stall_pres = np.inf
+    # Anderson memory: differences of g = F(v) - v and of F(v) between successive accepted points
+    dg = np.empty((_MEMORY, total))
+    df = np.empty((_MEMORY, total))
+    stored = 0
+    base = None  # the last accepted point's F(v), g and |g|^2
+    extrapolated = False
 
     for it in range(1, max_iter + 1):
-        w = z - u
-        nu = sigma * (gram_a @ w) - offset
-        x = w - (c + A.T @ nu) / sigma
-        xh = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * z
-        v = xh + u
         try:
             z = _project_cone(v, groups)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"iterate cannot be projected at iteration {it} ({exc})") from exc
         u = v - z
+        w = z - u
+        nu = sigma * (gram_a @ w) - offset
+        r = c + A.T @ nu
+        g = _OVER_RELAX * (w - r / sigma - z)  # F(v) - v, with x = w - r / sigma the affine step
 
-        if it % _CHECK_EVERY == 0 or it == max_iter:
-            pres = float(np.abs(A @ z - b).max())
-            dres = float(np.abs(c + A.T @ nu + sigma * u).max())
-            if not (math.isfinite(pres) and math.isfinite(dres)):
-                raise ValueError(f"iterate is not finite at iteration {it} (primal {pres}, dual {dres})")
-            pobj = float(c @ z)
-            dobj = -float(b @ nu)
-            gap = abs(pobj - dobj)
-            res = (pres, dres, gap)
-            if pres <= tol and dres <= tol and gap <= tol * max(1.0, abs(pobj), abs(dobj)):
-                status = "optimal"
+        pres = float(np.abs(A @ z - b).max())
+        dres = float(np.abs(r + sigma * u).max())
+        if not (math.isfinite(pres) and math.isfinite(dres)):
+            raise ValueError(f"iterate is not finite at iteration {it} (primal {pres}, dual {dres})")
+        pobj = float(c @ z)
+        dobj = -float(b @ nu)
+        gap = abs(pobj - dobj)
+        res = (pres, dres, gap)
+        if pres <= tol and dres <= tol and gap <= tol * max(1.0, abs(pobj), abs(dobj)):
+            status = "optimal"
+            iters = it
+            break
+
+        # multiplier blowup with a stalled affine residual signals infeasibility
+        if it % 5000 == 0:
+            y_norm = sigma * float(np.abs(u).max())
+            if stall_mark is not None and pres > 1e-4 and pres > 0.999 * stall_pres and y_norm > 1e3:
+                status = "infeasible"
                 iters = it
                 break
+            stall_mark = it
+            stall_pres = pres
 
-            # multiplier blowup with a stalled affine residual signals infeasibility
-            if it % 5000 == 0:
-                y_norm = sigma * float(np.abs(u).max())
-                if stall_mark is not None and pres > 1e-4 and pres > 0.999 * stall_pres and y_norm > 1e3:
-                    status = "infeasible"
-                    iters = it
-                    break
-                stall_mark = it
-                stall_pres = pres
+        # residual balancing keeps the two residuals comparable; it changes the map, so the memory goes
+        if it % 100 == 0 and max(pres, dres) > 50 * tol and max(pres, dres) > 10 * min(pres, dres):
+            step = 2.0 if pres > dres else 0.5
+            sigma *= step
+            v = z + u / step
+            offset = shift(sigma)
+            stored, base, extrapolated = 0, None, False
+            continue
 
-            # residual balancing keeps the two residuals comparable
-            if it % 100 == 0 and max(pres, dres) > 50 * tol and max(pres, dres) > 10 * min(pres, dres):
-                step = 2.0 if pres > dres else 0.5
-                sigma *= step
-                u /= step
-                offset = shift(sigma)
+        # safeguard: an extrapolation that grew |g| gives way to the plain step from the last accepted point
+        gg = float(g @ g)
+        if extrapolated and gg > base[2]:
+            v = base[0]
+            stored, extrapolated = 0, False
+            continue
+        f = v + g
+        if base is not None:
+            k = stored % _MEMORY
+            dg[k] = g - base[1]
+            df[k] = f - base[0]
+            stored += 1
+        base = (f, g, gg)
+        v, extrapolated = f, False
+        n = min(stored, _MEMORY)
+        if n:
+            # type-II step: gamma minimizes |g - dG^T gamma|, through its ridged normal equations.
+            # LAPACK's Cholesky solve directly: np.linalg.solve costs several times more at this size.
+            # A failed or non-finite solve keeps the plain step.
+            gram = dg[:n] @ dg[:n].T
+            gram.flat[:: n + 1] += 1e-10 * gram.trace()
+            _, gamma, info = dposv(gram, dg[:n] @ g)
+            if info == 0 and np.isfinite(gamma).all():
+                v, extrapolated = f - gamma @ df[:n], True
 
     return finish(status, z, nu, res, iters)

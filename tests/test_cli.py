@@ -5,6 +5,7 @@ import pytest
 
 from udbound import load_certificate, save_certificate, save_ensemble, save_measurement
 from udbound.jsonio import write_json
+from udbound import cli
 from udbound.cli import main
 from udbound.ensembles import build_example1, build_two_pure, measurement_to_dict
 from udbound.operators import StateVector, basis_state
@@ -113,6 +114,18 @@ class TestSolveCommand:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    def test_failed_status_exit_code(self, example1_files, monkeypatch, status):
+        solve_global = cli.solve_global
+
+        def with_status(*args, **kwargs):
+            report = solve_global(*args, **kwargs)
+            report.status = status
+            return report
+
+        monkeypatch.setattr(cli, "solve_global", with_status)
+        assert main(["solve", "global", "--ensemble", str(example1_files["ensemble"])]) == 4
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["solve", "global", "--ensemble", str(tmp_path / "nope.json")]) == 2

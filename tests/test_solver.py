@@ -25,7 +25,7 @@ from udbound import (
     solve_separable_bound,
     verify_optimality,
 )
-from udbound import solver
+from udbound import programs, solver
 from udbound.jsonio import dumps
 from udbound.solver import _project_cone, _side_groups, hermitian_basis, smat, svec
 from helpers import random_ensemble
@@ -277,9 +277,16 @@ class TestSolveToys:
         program = ConicProgram(
             (Block("x", 2),), {"x": np.eye(2, dtype=complex)}, (Constraint({"x": e00}, 1.0),)
         )
-        report = solve(program, tol=1e-16, max_iter=50)
+        report = solve(program, tol=1e-16, max_iter=2)
         assert report.status == "max_iterations"
-        assert report.iterations == 50
+        assert report.iterations == 2
+
+    def test_unbounded_without_constraints(self):
+        # X = 0 is feasible and Tr(-X) decreases without limit: unbounded, not infeasible
+        for sign, status in ((-1.0, "unbounded"), (1.0, "optimal")):
+            report = solve(ConicProgram((Block("x", 2),), {"x": sign * np.eye(2)}, ()))
+            assert report.status == status
+            assert report.value == 0.0
 
     def test_deterministic_reports(self):
         ensemble, _ = build_example1()
@@ -412,6 +419,41 @@ class TestDualityOnRandomEnsembles:
             assert m.completeness_residual() < 1e-6
             assert m.psd_residual() < 1e-6
             assert check_no_error(ensemble, m, tol=1e-6).passed
+
+
+class TestReportHonesty:
+    """The report's residuals and value are those of the blocks and multipliers it returns."""
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 2, 2)]), st.integers(2, 4))
+    def test_residuals_and_value_recompute_from_the_program(self, seed, dims, n):
+        ensemble = random_ensemble(np.random.default_rng(seed), dims, n)
+        solved = []
+
+        def keep(program, **kwargs):
+            report = solver.solve(program, **kwargs)
+            solved.append((program, report, report.value))
+            return report
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(programs, "solve", keep)
+            solve_global(ensemble, tol=1e-8)
+        if not solved:  # nothing conclusive: no program to solve
+            return
+        (program, report, value), = solved
+        assert report.status == "optimal"
+        assert program.sense == "max" and all(con.sense == "eq" for con in program.constraints)
+        primal = max(
+            abs(sum(np.tensordot(mat, report.blocks[name].T, axes=2).real for name, mat in con.coeffs.items()) - con.rhs)
+            for con in program.constraints
+        )
+        rhs = np.array([con.rhs for con in program.constraints])
+        dual = float(rhs @ report.multipliers)  # b·nu: the multipliers are in the minimization convention
+        assert primal == pytest.approx(report.residuals["primal"], abs=1e-12)
+        assert abs(value - dual) == pytest.approx(report.residuals["gap"], abs=1e-12)
+        # and "optimal" holds of them: the stopping rule, up to rounding in the recomputation
+        assert primal <= 1e-8 * np.abs(rhs).max() + 1e-12
+        assert abs(value - dual) <= 1e-8 * max(1.0, abs(value), abs(dual)) + 1e-12
 
 
 @pytest.mark.parametrize("copies", [2, 3])
