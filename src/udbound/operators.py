@@ -291,12 +291,15 @@ def min_eigenvalue(op: Union[HermitianOperator, np.ndarray]) -> float:
     """Smallest eigenvalue of the Hermitian part; NaN if an entry is not finite.
 
     LAPACK does not propagate NaN: eigvalsh of [[nan, 0], [0, 1]] returns
-    [0, -0], which would read as PSD.
+    [0, -0], which would read as PSD.  A Hermitian part with no imaginary
+    entry is decomposed as a real symmetric matrix, several times faster.
     """
     mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
     if not np.isfinite(mat).all():
         return math.nan
     mat = (mat + mat.conj().T) / 2
+    if not mat.imag.any():
+        mat = mat.real
     return float(np.linalg.eigvalsh(mat)[0])
 
 

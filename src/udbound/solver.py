@@ -5,9 +5,10 @@ side-1 block is a nonnegative scalar) subject to scalar affine constraints
 whose coefficients are Hermitian operators per block.  The solver is an
 over-relaxed ADMM splitting, written as a fixed-point map v -> F(v): an
 eigenvalue-clipping projection z onto the cone with remainder u = v - z,
-an exact projection x of z - u onto the affine constraints (one Cholesky
-factorization of G = A A^T gives G^-1 A once per solve, so each iteration
-takes one product with it), and F(v) = v + alpha (x - z).  An iteration
+an exact projection x of z - u onto the affine constraints (G = A A^T is
+Cholesky-factored and G^-1 A and G^-1 b are formed once per solve, so each
+iteration takes one product with G^-1 A whatever the ADMM penalty), and
+F(v) = v + alpha (x - z); the linear algebra is numpy's.  An iteration
 is one application of F, that is one cone projection, and checks the
 residuals of its own (z, multipliers, u), so "optimal" certifies the same
 thing however v was reached.  F is accelerated by safeguarded type-II
@@ -39,8 +40,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dposv
 
 from .operators import HermitianOperator
 
@@ -71,6 +70,21 @@ def _indices(side: int) -> tuple[np.ndarray, ...]:
     for arr in out:
         arr.setflags(write=False)
     return out
+
+
+def cho_factor(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of G = L L^T; ``LinAlgError`` if G is not numerically positive definite."""
+    return np.linalg.cholesky(gram)
+
+
+def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G^-1 rhs from the lower Cholesky factor L of G = L L^T.
+
+    numpy has no triangular solve: ``np.linalg.solve`` runs a full LU on L
+    as on any matrix, so one LU of the rebuilt G costs about half of two,
+    and it is backward stable for the positive definite G all the same.
+    """
+    return np.linalg.solve(factor @ factor.T, rhs)
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
@@ -362,18 +376,19 @@ def solve(
         return finish("optimal", np.zeros(total), np.zeros(0), (0.0, 0.0, 0.0), 0)
 
     try:
-        factor = cho_factor(A @ A.T, lower=True)
+        factor = cho_factor(A @ A.T)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("affine constraint Gram matrix is numerically singular") from exc
 
     # The affine step's multipliers are nu = G^-1 (sigma (A w - b) - A c) with G = A A^T,
-    # that is sigma (G^-1 A) w - G^-1 (sigma b + A c): one product per iteration, and a
-    # triangular solve only when sigma changes.
-    gram_a = cho_solve(factor, A, check_finite=False)
-    Ac = A @ c
+    # that is sigma (G^-1 A) w - shift(sigma): one product per iteration, and G^-1 [A | b]
+    # is formed once, so a change of sigma costs no solve.
+    solved = cho_solve(factor, np.column_stack([A, b]))
+    gram_a, gram_b = solved[:, :-1], solved[:, -1]
+    gram_ac = gram_a @ c
 
     def shift(sigma):
-        return cho_solve(factor, sigma * b + Ac, check_finite=False)
+        return sigma * gram_b + gram_ac
 
     sigma = _SIGMA
     offset = shift(sigma)
@@ -451,12 +466,14 @@ def solve(
         n = min(stored, _MEMORY)
         if n:
             # type-II step: gamma minimizes |g - dG^T gamma|, through its ridged normal equations.
-            # LAPACK's Cholesky solve directly: np.linalg.solve costs several times more at this size.
-            # A failed or non-finite solve keeps the plain step.
+            # A singular system or a non-finite gamma keeps the plain step.
             gram = dg[:n] @ dg[:n].T
             gram.flat[:: n + 1] += 1e-10 * gram.trace()
-            _, gamma, info = dposv(gram, dg[:n] @ g)
-            if info == 0 and np.isfinite(gamma).all():
+            try:
+                gamma = np.linalg.solve(gram, dg[:n] @ g)
+            except np.linalg.LinAlgError:
+                continue
+            if np.isfinite(gamma).all():
                 v, extrapolated = f - gamma @ df[:n], True
 
     return finish(status, z, nu, res, iters)

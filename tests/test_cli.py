@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import udbound
 from udbound import load_certificate, save_certificate, save_ensemble, save_measurement
 from udbound.jsonio import write_json
 from udbound import cli
@@ -469,3 +474,12 @@ class TestConeFilesAreChecked:
         assert code == 2
         assert capsys.readouterr().err == f"error: {cones}.cones[0]: generator 2 is zero\n"
         assert not out.exists()
+
+
+def test_cli_imports_without_scipy():
+    # every command starts a fresh interpreter, so what the package imports is start-up time
+    probe = "import sys, udbound, udbound.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(udbound.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

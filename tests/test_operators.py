@@ -228,6 +228,16 @@ class TestIsPsd:
         _, fixtures = build_example1()
         assert min_eigenvalue(fixtures.global_certificate) >= -1e-9
 
+    def test_real_entries_in_complex_storage(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((12, 12))
+        mat = (a + a.T).astype(np.complex128)
+        assert min_eigenvalue(mat) == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-12)
+
+    def test_imaginary_part_is_kept(self):
+        # the real part alone is the identity, whose smallest eigenvalue is 1
+        assert min_eigenvalue(np.array([[1.0, 1.0j], [-1.0j, 1.0]])) == pytest.approx(0.0, abs=1e-12)
+
 
 class TestCompress:
     def test_identity_compression(self):

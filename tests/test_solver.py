@@ -464,3 +464,26 @@ def test_dependent_rows_raise_instead_of_solving_a_perturbed_projection(copies):
     program = ConicProgram((Block("x", 2),), {"x": np.eye(2, dtype=complex)}, rows)
     with pytest.raises(np.linalg.LinAlgError, match="Gram matrix is numerically singular"):
         solve(program, tol=1e-9)
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("m", [1, 4, 30])
+    def test_solve_agrees_with_numpy(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, 2 * m + 3))
+        gram = a @ a.T
+        rhs = rng.standard_normal((m, 7))
+        got = solver.cho_solve(solver.cho_factor(gram), rhs)
+        want = np.linalg.solve(gram, rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            np.array([[9.0, 12.0], [12.0, 16.0]]),  # rank 1: the second pivot is exactly 0
+            np.diag([2.0, 0.0, 1.0]),
+        ],
+    )
+    def test_rank_deficient_gram_raises(self, gram):
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.cho_factor(gram)
