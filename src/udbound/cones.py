@@ -35,6 +35,7 @@ from .operators import (
     hs_inner,
     kron_sum,
     min_eigenvalue,
+    min_eigenvalues,
     partial_trace,
     tensor,
 )
@@ -80,8 +81,8 @@ class ConeGenerators:
                 prod = kron_sum((factors,), self.dims.dims)
             except ValueError as exc:
                 raise ValueError(f"generator {k} product form: {exc}") from exc
-            for f in factors:
-                if not min_eigenvalue(f) >= -PSD_TOL * max(1.0, float(np.abs(f).max())):
+            for f, lo in zip(factors, min_eigenvalues(factors)):
+                if not lo >= -PSD_TOL * max(1.0, float(np.abs(f).max())):
                     raise ValueError(f"generator {k} has a non-PSD local factor")
             if np.abs(prod - gen.matrix).max() > 1e-10 * scale:
                 raise ValueError(f"generator {k} product form does not reconstruct it")
@@ -379,4 +380,4 @@ def save_cones(cones: Sequence[ConeGenerators], path) -> None:
 
 
 def load_cones(path) -> list[ConeGenerators]:
-    return cones_from_dict(read_json(path), source=str(path))
+    return read_json(path, lambda data: cones_from_dict(data, source=str(path)))

@@ -36,6 +36,7 @@ from .operators import (
     StateVector,
     kron_sum,
     min_eigenvalue,
+    min_eigenvalues,
     nan_max,
     psd_violation,
 )
@@ -93,7 +94,9 @@ class SeparableDecomposition:
     def residual(self, op: HermitianOperator) -> float:
         """Max of the reconstruction error and any factor's PSD violation."""
         worst = float(np.abs(self.reconstruct(op.dims) - op.matrix).max())
-        return nan_max([worst, *(psd_violation(f) for term in self.terms for f in term)])
+        # worst >= 0 leads the list, so each -lo stands for psd_violation's max(0, -lo)
+        lows = min_eigenvalues([f for term in self.terms for f in term])
+        return nan_max([worst, *(-lows).tolist()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,7 +495,7 @@ def save_ensemble(ensemble: Ensemble, path: Union[str, Path]) -> None:
 
 
 def load_ensemble(path: Union[str, Path]) -> Ensemble:
-    return ensemble_from_dict(read_json(path), source=str(path))
+    return read_json(path, lambda data: ensemble_from_dict(data, source=str(path)))
 
 
 def _decomposition_to_json(dec: SeparableDecomposition) -> dict:
@@ -600,4 +603,4 @@ def save_measurement(measurement: Measurement, path: Union[str, Path]) -> None:
 
 
 def load_measurement(path: Union[str, Path]) -> Measurement:
-    return measurement_from_dict(read_json(path), source=str(path))
+    return read_json(path, lambda data: measurement_from_dict(data, source=str(path)))

@@ -6,6 +6,13 @@ exact at double precision.  This module alone maps that wire format to
 arrays and validated operators; the other file formats decode their
 matrices through ``operator_from_json`` and ``matrices_from_json``.
 
+A file is loaded in one pass, ``read_json(path, decode)``: the text is read
+and parsed, then released, and the parsed tree is decoded and validated,
+all under one pause of the cyclic garbage collector; the tree is dropped
+before the collector resumes.  A matrix is decoded from one flat list of
+its numbers through one ``np.array`` call, after the row and pair lengths
+are checked, and a list of same-side matrices shares one such call.
+
 Every JSON text the package writes comes from ``dumps``, which reproduces
 ``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, with each
 matrix leaf written as its nested lists would be.  ``matrix_to_json``
@@ -20,8 +27,9 @@ from __future__ import annotations
 
 import gc
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -41,24 +49,69 @@ def matrix_to_json(mat: np.ndarray) -> np.ndarray:
 def matrix_from_json(data: Any, field: str) -> np.ndarray:
     """Decode a square matrix of finite [re, im] pairs.
 
-    The array is built without a target dtype, so strings, nulls and
-    out-of-range integers give a non-numeric dtype and are rejected rather
-    than coerced; ragged rows fail the conversion or the shape check.
+    A list is read as a JSON tree through :func:`_stack`.  Any other value,
+    such as the float64 (r, c, 2) array of :func:`matrix_to_json`, goes
+    through one ``np.array`` call under the same rules.
     """
-    try:
-        arr = np.array(data)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    side = len(arr) if arr.ndim else 0
-    if arr.shape != (side, side, 2) or arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+    if isinstance(data, list):
+        stack = _stack([data])
+    else:
+        try:
+            arr = np.array(data)
+        except (TypeError, ValueError):
+            arr = np.empty(0)
+        side = len(arr) if arr.ndim else 0
+        stack = _complex(arr, (1, side, side)) if arr.shape == (side, side, 2) else None
+    if stack is None:
         raise SchemaError(f"{field}: expected a non-empty square list of rows of finite [re, im] pairs")
-    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(side, side)
+    return stack[0]
 
 
 def matrices_from_json(data: Any, field: str) -> tuple[np.ndarray, ...]:
+    """Decode a non-empty list of matrices, in one pass when they share one side.
+
+    Otherwise, or if one is malformed, each is decoded on its own, so an
+    error names the first bad ``field[k]``.
+    """
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{field}: expected a non-empty list of matrices")
-    return tuple(matrix_from_json(m, f"{field}[{k}]") for k, m in enumerate(data))
+    stack = _stack(data)
+    if stack is None:
+        return tuple(matrix_from_json(m, f"{field}[{k}]") for k, m in enumerate(data))
+    return tuple(stack)
+
+
+def _stack(mats: list) -> Optional[np.ndarray]:
+    """The complex (k, n, n) stack of k matrices of one side n, each n rows of n
+    [re, im] pairs; None if one is malformed.
+
+    The row and pair lengths are checked first.  Then every number goes, in
+    one flat list, through one ``np.array`` call without a target dtype, so
+    strings, nulls and out-of-range integers give a non-numeric dtype and are
+    rejected rather than coerced.
+    """
+    try:
+        side = len(mats[0])
+        rows = list(chain.from_iterable(mats))
+        if (
+            set(map(len, mats)) != {side}
+            or set(map(len, rows)) != {side}
+            or set(map(len, chain.from_iterable(rows))) != {2}
+        ):
+            return None
+        flat = np.array(list(chain.from_iterable(chain.from_iterable(rows))))
+    except (TypeError, ValueError):
+        return None
+    if flat.shape != (2 * side * len(rows),):
+        return None
+    return _complex(flat, (len(mats), side, side))
+
+
+def _complex(arr: np.ndarray, shape: tuple[int, ...]) -> Optional[np.ndarray]:
+    """The finite numbers of ``arr``, read as [re, im] pairs, as a complex array of ``shape``; else None."""
+    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        return None
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(shape)
 
 
 def operator_from_json(data: Any, dims: DimVector, field: str) -> HermitianOperator:
@@ -204,17 +257,27 @@ def write_json(path: Union[str, Path], payload: dict) -> list[str]:
     return parts
 
 
-def read_json(path: Union[str, Path]) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
-    # The parse builds an acyclic tree of one list per [re, im] pair, so a
-    # cyclic collection during it frees nothing and only re-traverses the
-    # growing tree; pause the collector, restoring the caller's setting.
+def read_json(path: Union[str, Path], decode: Optional[Callable[[Any], Any]] = None) -> Any:
+    """Parse the JSON file at ``path``; with ``decode``, return ``decode`` of the parsed tree.
+
+    The parse builds an acyclic tree of one list per [re, im] pair, so a
+    cyclic collection while the tree lives frees nothing and only traverses
+    it.  The collector is paused from the read until the tree is dropped,
+    after ``decode``, and the caller's setting is then restored; the text is
+    released before decoding.
+    """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            tree = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+        del text
+        if decode is not None:
+            tree = decode(tree)  # rebinding drops the parsed tree while the collector is paused
+        return tree
     finally:
         if enabled:
             gc.enable()
@@ -225,4 +288,4 @@ def save_certificate(op: HermitianOperator, path: Union[str, Path]) -> None:
 
 
 def load_certificate(path: Union[str, Path]) -> HermitianOperator:
-    return operator_from_dict(read_json(path), field=str(path))
+    return read_json(path, lambda data: operator_from_dict(data, field=str(path)))

@@ -303,6 +303,29 @@ def min_eigenvalue(op: Union[HermitianOperator, np.ndarray]) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
+def min_eigenvalues(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`min_eigenvalue` of each square matrix, with one batched ``eigvalsh`` per side and kind.
+
+    Its rules hold matrix by matrix, and so do the results, bit for bit.
+    From two matrices on this is faster than one call per matrix.
+    """
+    out = np.full(len(mats), math.nan)
+    sides: dict[int, list[int]] = {}
+    for k, m in enumerate(mats):
+        sides.setdefault(m.shape[0], []).append(k)
+    for idx in map(np.array, sides.values()):
+        stack = np.stack([mats[k] for k in idx])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            idx, stack = idx[finite], stack[finite]
+        herm = (stack + stack.conj().swapaxes(1, 2)) / 2
+        real = ~herm.imag.any(axis=(1, 2))
+        for sel, part in ((real, herm.real), (~real, herm)):
+            if sel.any():
+                out[idx[sel]] = np.linalg.eigvalsh(part if sel.all() else part[sel])[:, 0]
+    return out
+
+
 def nan_max(values: Iterable[float]) -> float:
     """The largest value; NaN if any is NaN (the builtin max drops a NaN after the first place)."""
     vals = list(values)

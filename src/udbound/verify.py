@@ -22,6 +22,7 @@ from .operators import (
     compress,
     hs_inner,
     min_eigenvalue,
+    min_eigenvalues,
     nan_max,
     partial_transpose,
     psd_violation,
@@ -262,8 +263,7 @@ def _protocol_residual(measurement: Measurement, tol: float) -> float:
         if not resid <= tol:
             raise ProtocolError(f"local POVM at site {k} incomplete (residual {resid:.3e})")
     for k, povm in enumerate(protocol.site_povms):
-        for e, el in enumerate(povm):
-            lo = min_eigenvalue(el)
+        for e, lo in enumerate(min_eigenvalues(povm)):
             if not lo >= -tol:
                 raise ProtocolError(
                     f"local POVM element {e} at site {k} not PSD (min eigenvalue {lo:.3e})"

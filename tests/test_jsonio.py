@@ -24,6 +24,8 @@ from udbound import (
     build_example2,
     example_cone_generators,
     load_certificate,
+    load_cones,
+    load_ensemble,
     load_measurement,
     solve_global,
     solve_separable_bound,
@@ -32,8 +34,8 @@ from udbound import (
     verify_separable_certificate,
 )
 from udbound.cli import main
-from udbound.jsonio import dumps, matrix_from_json, matrix_to_json, read_json, write_json
-from helpers import random_ensemble
+from udbound.jsonio import dumps, matrices_from_json, matrix_from_json, matrix_to_json, read_json, write_json
+from helpers import random_ensemble, reference_matrix_from_json
 
 # sha256 of the files written by `udbound example1` and `udbound example2 --d 3|4`.
 # The fixtures are closed forms (outer and Kronecker products of exact
@@ -256,6 +258,83 @@ class TestReader:
         finally:
             (gc.enable if was else gc.disable)()
 
+    D4_FILES = [
+        (load_ensemble, "example2_d4_ensemble.json"),
+        (load_measurement, "example2_d4_measurement_global.json"),
+        (load_measurement, "example2_d4_measurement_locc.json"),
+        (load_certificate, "example2_d4_certificate_global.json"),
+        (load_certificate, "example2_d4_certificate_sep.json"),
+        (load_cones, "example2_d4_cones.json"),
+    ]
+
+    @pytest.mark.parametrize("loader, name", D4_FILES, ids=[name for _, name in D4_FILES])
+    def test_no_collection_during_a_load(self, example2_d4_dir, loader, name):
+        # parse, decode and validation share one pause, and the parsed tree is dropped inside it
+        phases = []
+
+        def record(phase, _info):
+            phases.append(phase)
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            loader(example2_d4_dir / name)
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was else gc.disable)()
+        assert "start" not in phases
+
+    EXAMPLE1_FILES = [
+        (load_ensemble, "example1_ensemble.json"),
+        (load_measurement, "example1_measurement_locc.json"),
+        (load_certificate, "example1_certificate_sep.json"),
+        (load_cones, "example1_cones.json"),
+    ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("loader, name", EXAMPLE1_FILES, ids=[name for _, name in EXAMPLE1_FILES])
+    def test_loaders_restore_the_collector_setting(self, example1_dir, loader, name, enabled):
+        path = example1_dir / name
+        bad_matrix = example1_dir / "bad_matrix.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        _first_matrix(payload)[0][0] = ["x", 0.0]
+        bad_matrix.write_text(json.dumps(payload), encoding="utf-8")
+        bad_json = example1_dir / "bad.json"
+        bad_json.write_text("{not json", encoding="utf-8")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            loader(path)
+            assert gc.isenabled() is enabled
+            for bad, message in ((bad_json, "invalid JSON"), (bad_matrix, r"matrix: expected a non-empty square list")):
+                with pytest.raises(SchemaError, match=message):
+                    loader(bad)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture(scope="module")
+def example2_d4_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("example2_d4")
+    assert main(["example2", "--d", "4", "--out", str(out)]) == 0
+    return out
+
+
+def _first_matrix(payload):
+    """The first "matrix" value met in a depth-first walk of a file payload."""
+    if isinstance(payload, dict):
+        if "matrix" in payload:
+            return payload["matrix"]
+        payload = list(payload.values())
+    for item in payload if isinstance(payload, list) else ():
+        found = _first_matrix(item)
+        if found is not None:
+            return found
+    return None
+
 
 # ---------------------------------------------------------------------------
 # verdicts survive the files
@@ -401,6 +480,138 @@ class TestCodecProperties:
     def test_non_matrix_values_are_schema_errors(self, data):
         with pytest.raises(SchemaError):
             matrix_from_json(data, "m")
+
+
+# ---------------------------------------------------------------------------
+# the flat decoder against the whole-tree one
+
+# numbers a JSON parse yields, by kind; "-0" parses to the int 0, and
+# integers past 2**63 take numpy's uint64 or float64 path
+NUMBER_KINDS = [
+    FINITE,
+    st.one_of(st.integers(-3, 3), st.sampled_from([json.loads("-0"), 2**53 + 1, 2**63, 2**64 - 1])),
+    st.booleans(),
+]
+BAD_LEAVES = [math.nan, math.inf, -math.inf, None, "1", "", 2**64, -(2**63) - 1, 10**400, {"re": 1.0}, [1.0]]
+BAD_CELLS = [
+    lambda re, im: [re],
+    lambda re, im: [re, im, 0.0],
+    lambda re, im: {"re": re, "im": im},
+    lambda re, im: "ab",
+    lambda re, im: re,
+    lambda re, im: None,
+    lambda re, im: [],
+    lambda re, im: [[re], [im]],
+]
+BAD_ROWS = [
+    lambda row: row[:-1],
+    lambda row: row + [[0.0, 0.0]],
+    lambda row: {"re": 0.0, "im": 0.0},
+    lambda row: "ab" * len(row),
+    lambda row: None,
+    lambda row: [],
+]
+# corruptions, applied leaf first, so that each finds the lists it edits
+LEVELS = ("leaf", "cell", "row", "extra row", "missing row")
+
+
+@st.composite
+def json_matrices(draw, side=None):
+    """Nested rows of [re, im] numbers with up to two corruptions."""
+    side = side or draw(st.integers(1, 3))
+    numbers = draw(st.sampled_from([*NUMBER_KINDS, st.one_of(*NUMBER_KINDS)]))
+    rows = [[[draw(numbers), draw(numbers)] for _ in range(side)] for _ in range(side)]
+    levels = [draw(st.sampled_from(LEVELS)) for _ in range(draw(st.integers(0, 2)))]
+    for level in sorted(levels, key=LEVELS.index):
+        r, c, k = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1)), draw(st.integers(0, 1))
+        if level == "leaf":
+            rows[r][c][k] = draw(st.sampled_from(BAD_LEAVES))
+        elif level == "cell":
+            rows[r][c] = draw(st.sampled_from(BAD_CELLS))(draw(numbers), draw(numbers))
+        elif level == "row" and isinstance(rows[r], list):
+            rows[r] = draw(st.sampled_from(BAD_ROWS))(rows[r])
+        elif level == "extra row":
+            rows.append(list(rows[r]) if isinstance(rows[r], list) else rows[r])
+        elif level == "missing row" and rows:
+            rows.pop(r % len(rows))
+    return rows
+
+
+# values that are no matrix, and in-memory arrays, which take the one-call path
+OTHER_PAYLOADS = st.sampled_from(
+    [
+        None,
+        [],
+        [[]],
+        [[[]]],
+        [[[], []]],
+        "[[[1, 0]]]",
+        "ab",
+        3.0,
+        True,
+        {},
+        {"re": 1.0},
+        np.zeros((2, 3, 2)),
+        np.zeros((0, 0, 2)),
+        np.full((1, 1, 2), math.nan),
+        np.ones((2, 2, 2), dtype=int),
+        np.ones((2, 2, 2), dtype=bool),
+        np.zeros((2, 2)),
+        np.array(None),
+    ]
+)
+PAYLOADS = st.one_of(json_matrices(), OTHER_PAYLOADS, complex_matrices(max_side=3).map(matrix_to_json))
+
+
+@st.composite
+def matrix_lists(draw):
+    """One to three payloads, of one side or of several."""
+    if draw(st.booleans()):
+        side = draw(st.integers(1, 3))
+        return draw(st.lists(json_matrices(side=side), min_size=1, max_size=3))
+    return draw(st.lists(PAYLOADS, min_size=1, max_size=3))
+
+
+def _outcome(decode):
+    """("ok", [(shape, dtype, bits), ...]) for what ``decode()`` returns, else (exception type, message)."""
+    try:
+        out = decode()
+    except Exception as exc:  # the exact type and text are what is compared
+        return type(exc), str(exc)
+    mats = out if isinstance(out, tuple) else (out,)
+    return "ok", [(m.shape, m.dtype, _bits(m).tobytes()) for m in mats]
+
+
+class TestDecodeEquivalence:
+    """The flat decoder accepts, rejects, returns and reports as one ``np.array`` of the whole payload does."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(PAYLOADS)
+    @example([[[1, 0], [json.loads("-0"), -1]], [[0, 1], [2**63, 0]]])
+    @example([[[True, False]]])
+    @example([[[2**63, -1]]])
+    @example([[[10**400, 0.0]]])
+    @example([[[math.nan, 0.0]]])
+    @example([[[1.0, math.inf]]])
+    @example([[["1", 0.0]]])
+    @example([[[None, 0.0]]])
+    @example([[{"re": 1.0, "im": 0.0}]])
+    @example([[[1.0]]])
+    @example([[[1.0, 0.0, 0.0]]])
+    @example([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]])
+    @example([[[1.0], [0.0, 0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])  # the right count of numbers, misplaced
+    @example([[[[1.0], [0.0]]]])  # one pair of lists
+    def test_matrix_from_json(self, data):
+        expected = _outcome(lambda: reference_matrix_from_json(data, "m"))
+        assert _outcome(lambda: matrix_from_json(data, "m")) == expected
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(matrix_lists())
+    @example([[[[1.0, 0.0]]], [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])
+    @example([[[[1.0, 0.0]]], [[["x", 0.0]]], [[[None, 0.0]]]])
+    def test_matrices_from_json(self, data):
+        expected = _outcome(lambda: tuple(reference_matrix_from_json(m, f"f[{k}]") for k, m in enumerate(data)))
+        assert _outcome(lambda: matrices_from_json(data, "f")) == expected
 
 
 # ---------------------------------------------------------------------------

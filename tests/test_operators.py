@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udbound import (
+    ConeGenerators,
     DimVector,
     HermitianOperator,
+    SeparableDecomposition,
     StateVector,
     basis_state,
     build_example1,
@@ -19,8 +21,8 @@ from udbound import (
     partial_trace,
     tensor,
 )
-from udbound.operators import kron_sum
-from helpers import random_hermitian, random_psd
+from udbound.operators import kron_sum, min_eigenvalues, nan_max
+from helpers import random_hermitian, random_psd, reference_min_eigenvalue
 
 SQ3 = math.sqrt(3.0)
 
@@ -237,6 +239,67 @@ class TestIsPsd:
     def test_imaginary_part_is_kept(self):
         # the real part alone is the identity, whose smallest eigenvalue is 1
         assert min_eigenvalue(np.array([[1.0, 1.0j], [-1.0j, 1.0]])) == pytest.approx(0.0, abs=1e-12)
+
+
+def _factor(rng, side, kind):
+    """A square factor of one kind: Hermitian with real or complex entries, PSD, or holding NaN or inf."""
+    a = rng.standard_normal((side, side))
+    if kind == "real":
+        return a + a.T
+    if kind == "real in complex":
+        return (a + a.T).astype(np.complex128)
+    if kind == "psd":
+        return (a @ a.T).astype(np.complex128)
+    mat = a + 1j * rng.standard_normal((side, side))
+    mat = mat + mat.conj().T
+    if kind in ("nan", "inf"):
+        mat[rng.integers(side), rng.integers(side)] = math.nan if kind == "nan" else math.inf
+    return mat
+
+
+FACTOR_KINDS = ["real", "real in complex", "psd", "complex", "nan", "inf"]
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestStackedMinEigenvalues:
+    """One batched eigvalsh per side and kind gives each matrix the value it gets alone, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.sampled_from(FACTOR_KINDS)), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_matrix_at_a_time(self, specs, seed):
+        rng = np.random.default_rng(seed)
+        mats = [_factor(rng, side, kind) for side, kind in specs]
+        expected = _float_bits([reference_min_eigenvalue(m) for m in mats])
+        assert np.array_equal(_float_bits(min_eigenvalues(mats)), expected)
+        assert np.array_equal(_float_bits([min_eigenvalue(m) for m in mats]), expected)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(FACTOR_KINDS), min_size=2, max_size=12), st.integers(0, 2**32 - 1))
+    def test_decomposition_residual_is_unchanged(self, kinds, seed):
+        # factors of sides 2 and 3, term by term, against the residual built from one check per factor
+        rng = np.random.default_rng(seed)
+        terms = tuple((_factor(rng, 2, a), _factor(rng, 3, b)) for a, b in zip(kinds[::2], kinds[1::2]))
+        dec = SeparableDecomposition(terms)
+        target = random_hermitian(rng, (2, 3))
+        with np.errstate(invalid="ignore"):  # an inf factor meets zeros in the reconstruction
+            worst = float(np.abs(dec.reconstruct(target.dims) - target.matrix).max())
+            residual = dec.residual(target)
+        expected = nan_max([worst, *(nan_max((0.0, -reference_min_eigenvalue(f))) for t in dec.terms for f in t)])
+        assert _float_bits(residual) == _float_bits(expected)
+
+    def test_product_form_with_a_non_psd_factor_is_rejected(self):
+        dims = DimVector((2, 2))
+        good, bad = np.diag([1.0, 0.0]), np.diag([1.0, -0.5])
+        generator = HermitianOperator(np.kron(good, np.abs(bad)), dims)
+        ConeGenerators(dims, (generator,), ((good, np.abs(bad)),))
+        with pytest.raises(ValueError, match="generator 0 has a non-PSD local factor"):
+            ConeGenerators(dims, (generator,), ((good, bad),))
 
 
 class TestCompress:

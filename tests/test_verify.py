@@ -248,6 +248,19 @@ class TestVerifyLoccEquality:
         with pytest.raises(ProtocolError, match="incomplete"):
             verify_locc_equality(ensemble, mutated, fixtures.sep_certificate, cones)
 
+    def test_complete_but_indefinite_local_element_is_named(self, example1):
+        # moving 0.5|v><v|, v orthogonal to mu+, from element 1 to element 2 keeps the sum I
+        ensemble, fixtures, cones = example1
+        protocol = fixtures.locc_measurement.locc_protocol
+        v = np.array([-0.5, math.sqrt(3.0) / 2])
+        shift = 0.5 * np.outer(v, v)
+        site0 = list(protocol.site_povms[0])
+        site0[1], site0[2] = site0[1] - shift, site0[2] + shift
+        broken = LoccProtocol(protocol.description, (tuple(site0), protocol.site_povms[1]), protocol.assignment)
+        mutated = Measurement(ensemble.dims, fixtures.locc_measurement.elements, locc_protocol=broken)
+        with pytest.raises(ProtocolError, match=r"^local POVM element 1 at site 0 not PSD \(min eigenvalue -5\.000e-01\)$"):
+            verify_locc_equality(ensemble, mutated, fixtures.sep_certificate, cones)
+
     def test_missing_protocol_errors(self, example1):
         ensemble, fixtures, cones = example1
         bare = Measurement(
