@@ -4,8 +4,9 @@ For state i of an ensemble, the conclusive cone is the set of PSD operators
 that give zero probability on every other state; it equals the PSD cone
 over the joint kernel of the other states.  The separable part of that cone
 is handled through explicit finite generator lists, with a dual test
-against a generated cone, and a randomized certification that a given
-product ray is the only one in a two-dimensional subspace.
+against a generated cone, and an exact certification, from vanishing cross
+marginals, that a given product ray is the only one in a two-dimensional
+subspace.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .operators import (
     kron_sum,
     min_eigenvalue,
     min_eigenvalues,
-    partial_trace,
     tensor,
 )
 
@@ -237,11 +237,11 @@ def _canonical_cuts(sites: int) -> list[tuple[int, ...]]:
     return sorted(cuts)
 
 
-def _site_marginal(state: StateVector, site: int) -> np.ndarray:
-    dims = state.dims.dims
-    psi = state.amplitudes.reshape(dims)
-    psi = np.moveaxis(psi, site, 0).reshape(dims[site], -1)
-    return psi @ psi.conj().T
+def _site_marginal(left: StateVector, right: StateVector, site: int) -> np.ndarray:
+    """Single-site marginal of |left><right| at ``site``: the other sites traced out."""
+    dims = left.dims.dims
+    lhs, rhs = (np.moveaxis(v.amplitudes.reshape(dims), site, 0).reshape(dims[site], -1) for v in (left, right))
+    return lhs @ rhs.conj().T
 
 
 def is_product_state(state: StateVector) -> bool:
@@ -249,7 +249,7 @@ def is_product_state(state: StateVector) -> bool:
     for site, d in enumerate(state.dims.dims):
         if d == 1:
             continue
-        spectrum = np.linalg.eigvalsh(_site_marginal(state, site))
+        spectrum = np.linalg.eigvalsh(_site_marginal(state, state, site))
         if spectrum[-2] > _PRODUCT_TOL:
             return False
     return True
@@ -261,72 +261,39 @@ class ProductRayCertificate:
 
     ``verdict`` is "unique", "not unique", or "inconclusive";
     ``cross_trace_residual`` is the largest entry of any single-site
-    marginal of the cross term |v1><v2|, and ``counterexample`` holds the
-    superposition coefficients of a product state found in the span.
+    marginal of the cross term |v1><v2|.
     """
 
     verdict: str
     cross_trace_residual: float
-    samples_checked: int
-    counterexample: Optional[tuple[complex, complex]]
-    seed: int
 
 
-def certify_unique_product_ray(
-    v1: StateVector,
-    v2: StateVector,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> ProductRayCertificate:
+def certify_unique_product_ray(v1: StateVector, v2: StateVector) -> ProductRayCertificate:
     """Certify that v1 spans the only product ray in span{v1, v2}.
 
-    Requires v1 to be a product state orthogonal to v2.  If every
-    single-site marginal of |v1><v2| vanishes, the marginals of any
-    superposition are convex mixtures of the endpoints' marginals, so a
-    non-product v2 forces every superposition with a nonzero v2 component
-    off the product manifold; the randomized sweep then hunts for a
-    counterexample among uniformly drawn superpositions.
+    Requires v1 to be a product state orthogonal to v2.  A product v2 is a
+    second product ray ("not unique").  If every single-site marginal of
+    |v1><v2| vanishes, the site-k marginal of c1 v1 + c2 v2 is
+    |c1|^2 P_k + |c2|^2 rho_k(v2), with P_k the projector onto v1's factor;
+    it has rank >= 2 wherever rho_k(v2) does, so for a non-product v2 no
+    superposition with c2 != 0 is a product ("unique").  A nonvanishing
+    cross marginal decides nothing ("inconclusive").
     """
     if v1.dims != v2.dims:
         raise ValueError("state dimensions differ")
     if not is_product_state(v1):
         raise ValueError("first vector is not a product state")
-    if abs(v1.overlap(v2)) > 1e-10:
+    if not abs(v1.overlap(v2)) <= 1e-10:
         raise ValueError("vectors must be orthogonal")
 
-    cross = np.outer(v1.amplitudes, v2.amplitudes.conj())
-    m = v1.dims.sites
-    residual = 0.0
-    for site in range(m):
-        others = [k for k in range(m) if k != site]
-        if others:
-            marg = partial_trace(cross, others, v1.dims)
-        else:
-            marg = cross
-        residual = max(residual, float(np.abs(marg).max()))
-
+    residual = max(float(np.abs(_site_marginal(v1, v2, site)).max()) for site in range(v1.dims.sites))
     if is_product_state(v2):
-        return ProductRayCertificate("not unique", residual, 0, (0.0 + 0.0j, 1.0 + 0.0j), seed)
-    if residual > _PRODUCT_TOL:
-        return ProductRayCertificate("inconclusive", residual, 0, None, seed)
-
-    rng = np.random.default_rng(seed)
-    floor = 1e-3
-    checked = 0
-    for _ in range(samples):
-        while True:
-            g = rng.standard_normal(4)
-            c = np.array([g[0] + 1j * g[1], g[2] + 1j * g[3]])
-            c /= np.linalg.norm(c)
-            if abs(c[1]) > floor:
-                break
-        candidate = StateVector(c[0] * v1.amplitudes + c[1] * v2.amplitudes, v1.dims)
-        checked += 1
-        if is_product_state(candidate):
-            return ProductRayCertificate(
-                "not unique", residual, checked, (complex(c[0]), complex(c[1])), seed
-            )
-    return ProductRayCertificate("unique", residual, checked, None, seed)
+        verdict = "not unique"
+    elif residual <= _PRODUCT_TOL:
+        verdict = "unique"
+    else:
+        verdict = "inconclusive"
+    return ProductRayCertificate(verdict, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,16 @@ class HermitianOperator:
     __rmul__ = __mul__
 
 
+def _reject_nonfinite(amp: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first non-finite amplitude, if there is one."""
+    bad = np.flatnonzero(~np.isfinite(amp))
+    if bad.size:
+        raise ValueError(f"amplitude {bad[0]} is {amp[bad[0]]}, not finite")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """A unit vector on a multipartite space (norm checked at construction)."""
+    """A unit vector on a multipartite space (finite amplitudes and unit norm checked at construction)."""
 
     amplitudes: np.ndarray
     dims: DimVector
@@ -140,7 +147,8 @@ class StateVector:
         if amp.size != dims.total:
             raise ValueError(f"vector length {amp.size} does not match total dimension {dims.total}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= _UNIT_NORM_TOL:  # a non-finite amplitude makes the norm NaN or inf
+            _reject_nonfinite(amp)
             raise ValueError(f"vector norm {norm!r} is not 1 within {_UNIT_NORM_TOL:.1e}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -150,6 +158,8 @@ class StateVector:
     def normalized(cls, amplitudes: Sequence[complex], dims: Union[DimVector, Sequence[int]]) -> "StateVector":
         amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         norm = float(np.linalg.norm(amp))
+        if not math.isfinite(norm):
+            _reject_nonfinite(amp)
         if norm < 1e-14:
             raise ValueError("cannot normalize a (near-)zero vector")
         return cls(amp / norm, _as_dims(dims))

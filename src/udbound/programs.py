@@ -1,18 +1,17 @@
-"""Discrimination programs: global optimum, its certificate, separable bound.
+"""Discrimination programs: global optimum with its certificate, separable bound.
 
 The global program maximizes the success probability over unambiguous
 measurements, with each conclusive element parameterized on its no-error
-subspace K_i so the zero-probability constraints hold by construction.
-The certificate program minimizes the trace of a PSD operator that
-dominates each weighted state on K_i; the separable-bound program
-minimizes the trace of a PSD operator H whose pairing with every cone
-generator dominates the weighted state's.
+subspace K_i so the zero-probability constraints hold by construction;
+its certificate comes from the completeness multipliers.  The
+separable-bound program minimizes the trace of a PSD operator H whose
+pairing with every cone generator dominates the weighted state's.
 
 Each program is posed, through ``cones.split_support``, on the space its
 constraints can see, and both sizings are exact:
 
-- global and certificate programs: on the ensemble support
-  S = range(sum_j rho_j), with K_i ∩ S from ``cones.no_error_subspaces``.  Every
+- global program: on the ensemble support S = range(sum_j rho_j), with
+  K_i ∩ S from ``cones.no_error_subspaces``.  Every
   state vanishes on S⊥, so S⊥ ⊆ K_i and K_i = S⊥ ⊕ (K_i ∩ S): the value,
   condition 7c of the lifted certificate and the completed measurement
   are unchanged.  Completeness is imposed on the joint span of the K_i ∩ S.
@@ -119,29 +118,6 @@ def solve_global(
     report.value = value
     report.never_conclusive = [i for i in range(ensemble.n) if i not in data]
     return report
-
-
-def solve_global_certificate(ensemble: Ensemble, tol: float = 1e-7) -> tuple[HermitianOperator, float]:
-    """Trace-minimal certificate solved on its own, without the measurement.
-
-    Minimizes the trace of a PSD operator whose compression onto each
-    no-error subspace dominates the weighted state there; by strong duality
-    its trace equals the optimal success probability.
-    """
-    dims = ensemble.dims
-    lift, data = _conclusive_data(ensemble)
-    if not data:
-        return HermitianOperator(np.zeros((dims.total,) * 2), dims), 0.0
-
-    w = lift.shape[1]
-    blocks = [Block("k", w)] + [Block(f"y{i}", basis.shape[1]) for i, (basis, _, _) in data.items()]
-    constraints = []
-    for i, (_, reduced, target) in data.items():
-        constraints += _matrix_equality(target, {"k": reduced.conj().T, f"y{i}": -1.0})
-    program = ConicProgram(tuple(blocks), {"k": np.eye(w)}, tuple(constraints), sense="min")
-    report = solve(program, tol=tol)
-    certificate = HermitianOperator(lift @ report.blocks["k"] @ lift.conj().T, dims)
-    return certificate, report.value
 
 
 def solve_separable_bound(

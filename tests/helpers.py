@@ -1,5 +1,6 @@
 """Shared test utilities: random instances, forged measurements, an independent two-state oracle,
-and the reference decoders that faster code is checked against."""
+the certificate program that strong duality is checked against, and the reference decoders that
+faster code is checked against."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import math
 import numpy as np
 
 from udbound import (
+    Block,
+    ConicProgram,
     DimVector,
     Ensemble,
     HermitianOperator,
@@ -17,6 +20,7 @@ from udbound import (
     SeparableDecomposition,
     StateVector,
     basis_state,
+    programs,
 )
 
 
@@ -176,6 +180,30 @@ def idp_oracle(psi1: StateVector, psi2: StateVector, prior1: float) -> float:
             x2 = lo + inv_gold * (hi - lo)
             f2 = objective(x2)
     return max(max(vals), f1, f2)
+
+
+def solve_global_certificate(ensemble, tol=1e-7) -> tuple[HermitianOperator, float]:
+    """Trace-minimal certificate solved on its own, without the measurement.
+
+    Minimizes the trace of a PSD operator whose compression onto each
+    no-error subspace dominates the weighted state there; by strong duality
+    its trace equals the optimal success probability of ``solve_global``.
+    Built through ``programs``' own helpers and solved by ``programs.solve``.
+    """
+    dims = ensemble.dims
+    lift, data = programs._conclusive_data(ensemble)
+    if not data:
+        return HermitianOperator(np.zeros((dims.total,) * 2), dims), 0.0
+
+    w = lift.shape[1]
+    blocks = [Block("k", w)] + [Block(f"y{i}", basis.shape[1]) for i, (basis, _, _) in data.items()]
+    constraints = []
+    for i, (_, reduced, target) in data.items():
+        constraints += programs._matrix_equality(target, {"k": reduced.conj().T, f"y{i}": -1.0})
+    program = ConicProgram(tuple(blocks), {"k": np.eye(w)}, tuple(constraints), sense="min")
+    report = programs.solve(program, tol=tol)
+    certificate = HermitianOperator(lift @ report.blocks["k"] @ lift.conj().T, dims)
+    return certificate, report.value
 
 
 def reference_matrix_from_json(data, field):

@@ -20,7 +20,7 @@ import udbound.programs as programs
 from udbound import ConeGenerators, HermitianOperator, build_example1, build_example2, example_cone_generators
 from udbound.cones import conclusive_subspace, split_support
 from udbound.solver import Block, ConicProgram, Constraint, _assemble, _indices, hermitian_basis
-from helpers import random_ensemble
+from helpers import random_ensemble, solve_global_certificate
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -153,7 +153,11 @@ class _Captured(Exception):
 
 
 def _built_programs(monkeypatch, ensemble, cones):
-    """The global, certificate and separable-bound programs as the module builds them."""
+    """The global, certificate and separable-bound programs as ``programs``' helpers build them.
+
+    The certificate program is the test reference ``helpers.solve_global_certificate``,
+    which builds through ``programs._matrix_equality`` and solves through ``programs.solve``.
+    """
     built = []
 
     def capture(program, **_):
@@ -164,7 +168,7 @@ def _built_programs(monkeypatch, ensemble, cones):
         patch.setattr(programs, "solve", capture)
         for build in (
             lambda: programs.solve_global(ensemble),
-            lambda: programs.solve_global_certificate(ensemble),
+            lambda: solve_global_certificate(ensemble),
             lambda: programs.solve_separable_bound(ensemble, cones),
         ):
             with pytest.raises(_Captured):

@@ -1,13 +1,18 @@
+import dataclasses
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udbound import (
     ConeGenerators,
     DimVector,
     HermitianOperator,
+    ProductRayCertificate,
     SchemaError,
     StateVector,
     basis_state,
@@ -268,35 +273,63 @@ class TestIsProductState:
 class TestCertifyUniqueProductRay:
     def test_qudit_family_unique(self):
         _, fixtures = build_example2(3)
-        cert = certify_unique_product_ray(
-            fixtures.aligned_states[0], fixtures.shifted_states[0], samples=300, seed=3
-        )
+        cert = certify_unique_product_ray(fixtures.aligned_states[0], fixtures.shifted_states[0])
         assert cert.verdict == "unique"
         assert cert.cross_trace_residual < 1e-12
-        assert cert.samples_checked == 300
 
     def test_two_product_rays(self):
-        cert = certify_unique_product_ray(
-            basis_state((2, 2), (0, 0)), basis_state((2, 2), (1, 1)), samples=50
-        )
+        cert = certify_unique_product_ray(basis_state((2, 2), (0, 0)), basis_state((2, 2), (1, 1)))
         assert cert.verdict == "not unique"
 
     def test_nonvanishing_cross_trace_inconclusive(self):
         psim = StateVector(PSI_M, DimVector((2, 2)))
-        cert = certify_unique_product_ray(basis_state((2, 2), (0, 0)), psim, samples=50)
+        cert = certify_unique_product_ray(basis_state((2, 2), (0, 0)), psim)
         assert cert.verdict == "inconclusive"
         assert cert.cross_trace_residual == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_rejects_entangled_first_argument(self):
         psim = StateVector(PSI_M, DimVector((2, 2)))
         with pytest.raises(ValueError, match="not a product state"):
-            certify_unique_product_ray(psim, basis_state((2, 2), (0, 0)), samples=10)
+            certify_unique_product_ray(psim, basis_state((2, 2), (0, 0)))
 
-    def test_deterministic_given_seed(self):
-        _, fixtures = build_example2(3)
-        a = certify_unique_product_ray(fixtures.aligned_states[0], fixtures.shifted_states[0], samples=50, seed=9)
-        b = certify_unique_product_ray(fixtures.aligned_states[0], fixtures.shifted_states[0], samples=50, seed=9)
-        assert a == b
+    def test_result_holds_the_verdict_and_the_residual_only(self):
+        assert [f.name for f in dataclasses.fields(ProductRayCertificate)] == ["verdict", "cross_trace_residual"]
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_qudit_family_unique_for_every_state(self, d):
+        _, fixtures = build_example2(d)
+        for aligned, shifted in zip(fixtures.aligned_states, fixtures.shifted_states):
+            cert = certify_unique_product_ray(aligned, shifted)
+            assert cert.verdict == "unique" and cert.cross_trace_residual < 1e-12
+
+    def test_explicit_qutrit_pair_unique(self):
+        pair = basis_state((3, 3), (1, 1)).amplitudes + basis_state((3, 3), (2, 2)).amplitudes
+        cert = certify_unique_product_ray(basis_state((3, 3), (0, 0)), StateVector.normalized(pair, (3, 3)))
+        assert cert.verdict == "unique" and cert.cross_trace_residual == 0.0
+
+
+@functools.cache
+def _example2_fixtures(d):
+    return build_example2(d)[1]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([3, 4]),
+    i=st.integers(0, 3),
+    weight=st.floats(1e-3, 1.0),
+    phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+)
+@example(d=3, i=0, weight=1e-3, phases=(0.0, 0.0))
+@example(d=4, i=3, weight=1.0, phases=(0.0, math.pi))
+def test_no_superposition_with_a_shifted_component_is_a_product(d, i, weight, phases):
+    """What the exact criterion proves, sampled: c1 aligned_i + c2 shifted_i is never a product for |c2| >= 1e-3."""
+    fixtures = _example2_fixtures(d)
+    i %= d
+    c1 = math.sqrt(1.0 - weight**2) * complex(math.cos(phases[0]), math.sin(phases[0]))
+    c2 = weight * complex(math.cos(phases[1]), math.sin(phases[1]))
+    amp = c1 * fixtures.aligned_states[i].amplitudes + c2 * fixtures.shifted_states[i].amplitudes
+    assert not is_product_state(StateVector.normalized(amp, fixtures.aligned_states[i].dims))
 
 
 class TestSeparableDualTraceProperty:

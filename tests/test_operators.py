@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ class TestHermitianOperator:
     def test_dims_must_match_matrix(self):
         with pytest.raises(ValueError, match="total dimension"):
             HermitianOperator(np.eye(3), DimVector((2,)))
+
+
+class TestStateVector:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [StateVector, StateVector.normalized], ids=["constructor", "normalized"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("entry", [0, 3])
+    def test_rejects_non_finite_amplitude(self, build, bad, entry):
+        amp = np.zeros(4, dtype=complex)
+        amp[entry] = bad
+        with pytest.raises(ValueError, match=rf"amplitude {entry} is {re.escape(str(amp[entry]))}, not finite"):
+            build(amp, DimVector((2, 2)))
+
+    def test_rejects_non_unit_norm(self):
+        with pytest.raises(ValueError, match="vector norm"):
+            StateVector(np.array([1.0, 1.0, 0.0, 0.0]), DimVector((2, 2)))
 
 
 class TestTensor:

@@ -21,14 +21,13 @@ from udbound import (
     min_eigenvalue,
     solve,
     solve_global,
-    solve_global_certificate,
     solve_separable_bound,
     verify_optimality,
 )
 from udbound import programs, solver
 from udbound.jsonio import dumps
 from udbound.solver import _project_cone, _side_groups, hermitian_basis, smat, svec
-from helpers import random_ensemble
+from helpers import random_ensemble, solve_global_certificate
 
 
 class TestSvec:

@@ -67,3 +67,30 @@ def test_package_exports_exactly_what_it_imports():
     assert len(set(exported)) == len(exported), "a name is listed twice in __all__"
     imported_only, exported_only = sorted(set(imported) - set(exported)), sorted(set(exported) - set(imported))
     assert not imported_only and not exported_only, f"imported only: {imported_only}; in __all__ only: {exported_only}"
+
+
+_RANDOM = ("random", "numpy.random", "np.random")
+
+
+def _random_sources(tree: ast.Module) -> list[str]:
+    """Every import of ``random`` or ``numpy.random``, and every read of ``np.random``/``numpy.random``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        hits = [name for name in names if any(name == r or name.startswith(r + ".") for r in _RANDOM)]
+        found += [f"{name} (line {node.lineno})" for name in hits]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_draws_random_numbers(path):
+    """Byte-identical reports rely on the package drawing no random numbers."""
+    found = _random_sources(_tree(path))
+    assert not found, f"{path.name} reaches for random numbers: {', '.join(found)}"
