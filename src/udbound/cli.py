@@ -10,6 +10,7 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -26,8 +27,6 @@ from .ensembles import (
 from .jsonio import SchemaError, dumps, load_certificate, save_certificate, write_json
 from .programs import solve_global, solve_separable_bound
 from .verify import (
-    PrecheckError,
-    ProtocolError,
     nlwe_witness,
     verify_locc_equality,
     verify_optimality,
@@ -111,10 +110,7 @@ def _cmd_solve(args) -> int:
     if args.kind == "global":
         report = solve_global(ensemble, **kwargs)
     else:
-        if not args.cones:
-            raise SchemaError("solve sep-bound requires --cones")
-        cones = load_cones(args.cones)
-        report = solve_separable_bound(ensemble, cones, **kwargs)
+        report = solve_separable_bound(ensemble, load_cones(args.cones), **kwargs)
 
     payload = report.to_dict()
     lines = [
@@ -131,36 +127,30 @@ def _cmd_solve(args) -> int:
     return _STATUS_EXIT.get(report.status, 1)
 
 
+def _cmd_nlwe(args) -> int:
+    ensemble = load_ensemble(args.ensemble)
+    cones = load_cones(args.cones)
+    result = nlwe_witness(ensemble, cones, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    payload = result.to_dict()
+    lines = [
+        f"p_global: {_fmt(result.p_global)}",
+        f"q_bound: {_fmt(result.q_bound)}",
+        f"witnessed: {'true' if result.witnessed else 'false'}",
+    ]
+    _emit(payload, args.format, args.out, lines)
+    return 0 if result.witnessed else 1
+
+
 def _cmd_verify(args) -> int:
     ensemble = load_ensemble(args.ensemble)
-    if args.kind == "nlwe":
-        if not args.cones:
-            raise SchemaError("verify nlwe requires --cones")
-        cones = load_cones(args.cones)
-        result = nlwe_witness(ensemble, cones, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-        payload = result.to_dict()
-        lines = [
-            f"p_global: {_fmt(result.p_global)}",
-            f"q_bound: {_fmt(result.q_bound)}",
-            f"witnessed: {'true' if result.witnessed else 'false'}",
-        ]
-        _emit(payload, args.format, args.out, lines)
-        return 0 if result.witnessed else 1
-
-    if not args.measurement or not args.certificate:
-        raise SchemaError(f"verify {args.kind} requires --measurement and --certificate")
     measurement = load_measurement(args.measurement)
     certificate = load_certificate(args.certificate)
     if args.kind == "prop1":
         report = verify_optimality(ensemble, measurement, certificate, tol=args.tol)
     else:
-        if not args.cones:
-            raise SchemaError(f"verify {args.kind} requires --cones")
         cones = load_cones(args.cones)
-        if args.kind == "thm3":
-            report = verify_separable_certificate(ensemble, measurement, certificate, cones, tol=args.tol)
-        else:
-            report = verify_locc_equality(ensemble, measurement, certificate, cones, tol=args.tol)
+        check = verify_separable_certificate if args.kind == "thm3" else verify_locc_equality
+        report = check(ensemble, measurement, certificate, cones, tol=args.tol)
 
     payload = report.to_dict()
     lines = [f"verdict: {'pass' if report.passed else 'fail'}"]
@@ -208,7 +198,9 @@ def _cmd_table(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``udbound`` parser: each (sub)command accepts exactly the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="udbound",
         description=(
@@ -222,34 +214,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "text"], default="text")
         p.add_argument("--out", type=str, default=None)
 
-    def solver(p):
+    def solver(p, iterative=True):
         p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-iter", type=int, default=200_000)
+        if iterative:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--max-iter", type=int, default=200_000)
+
+    def kind(kinds, name, run, summary, inputs, iterative=True):
+        p = kinds.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", type=str, required=True)
+        output(p)
+        solver(p, iterative)
 
     p = sub.add_parser("example1", help="write the example1 ensemble and fixtures")
+    p.set_defaults(run=_cmd_example)
     output(p)
     p = sub.add_parser("example2", help="write the example2 ensemble and fixtures")
+    p.set_defaults(run=_cmd_example)
     p.add_argument("--d", type=int, required=True, help="family parameter, d >= 3")
     output(p)
 
-    p = sub.add_parser("solve", help="run an optimization and write its report")
-    p.add_argument("kind", choices=["global", "sep-bound"])
-    p.add_argument("--ensemble", type=str, required=True)
-    p.add_argument("--cones", type=str, default=None)
-    output(p)
-    solver(p)
+    kinds = sub.add_parser("solve", help="run an optimization and write its report")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    kind(kinds, "global", _cmd_solve, "the global optimum p_G, its measurement and certificate", ["ensemble"])
+    kind(kinds, "sep-bound", _cmd_solve, "the bound q on separable measurements", ["ensemble", "cones"])
 
-    p = sub.add_parser("verify", help="check certificates against supplied operators")
-    p.add_argument("kind", choices=["prop1", "thm3", "cor3", "nlwe"])
-    p.add_argument("--ensemble", type=str, required=True)
-    p.add_argument("--measurement", type=str, default=None)
-    p.add_argument("--certificate", type=str, default=None)
-    p.add_argument("--cones", type=str, default=None)
-    output(p)
-    solver(p)
+    kinds = sub.add_parser("verify", help="check certificates against supplied operators")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    checked = ["ensemble", "measurement", "certificate"]
+    kind(kinds, "prop1", _cmd_verify, "Prop. 1: the measurement is optimal", checked, False)
+    checked += ["cones"]
+    kind(kinds, "thm3", _cmd_verify, "Thm. 3: the certificate bounds separable measurements", checked, False)
+    kind(kinds, "cor3", _cmd_verify, "Cor. 3: the LOCC protocol attains the bound", checked, False)
+    kind(kinds, "nlwe", _cmd_nlwe, "solve both programs and witness p_G > q", ["ensemble", "cones"])
 
     p = sub.add_parser("table", help="scan the qudit family and emit CSV")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--d-min", type=int, required=True)
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--out", type=str, default=None)
@@ -258,17 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("example1", "example2"):
-            return _cmd_example(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_table(args)
-    except (SchemaError, PrecheckError, ProtocolError, ValueError, OSError) as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # SchemaError, PrecheckError and ProtocolError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

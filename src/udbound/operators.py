@@ -157,9 +157,13 @@ class StateVector:
     @classmethod
     def normalized(cls, amplitudes: Sequence[complex], dims: Union[DimVector, Sequence[int]]) -> "StateVector":
         amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amp))
         if not math.isfinite(norm):
             _reject_nonfinite(amp)
+            # finite amplitudes whose norm overflows: scale by the largest real or imaginary part first
+            amp = amp / max(np.abs(amp.real).max(), np.abs(amp.imag).max())
+            norm = float(np.linalg.norm(amp))
         if norm < 1e-14:
             raise ValueError("cannot normalize a (near-)zero vector")
         return cls(amp / norm, _as_dims(dims))

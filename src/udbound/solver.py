@@ -150,54 +150,7 @@ class ConicProgram:
     sense: str = "min"
 
     def __post_init__(self) -> None:
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"program sense must be 'min' or 'max', got {self.sense!r}")
-        names = [b.name for b in self.blocks]
-        if len(set(names)) != len(names):
-            raise ValueError("block names must be unique")
-        sides = {b.name: b.side for b in self.blocks}
-        for k, con in enumerate(self.constraints):
-            if not math.isfinite(con.rhs):
-                raise ValueError(f"constraint {k} rhs {con.rhs} is not finite")
-        # names and shapes one coefficient at a time, up to the first bad one;
-        # values one stack per block, so the first bad coefficient is reported
-        where_name: list[tuple[str, str]] = []
-        stacks: dict[str, tuple[list[int], list[np.ndarray]]] = {}
-        malformed = None
-        for where, coeffs in [("objective", self.objective)] + [
-            (f"constraint {k}", c.coeffs) for k, c in enumerate(self.constraints)
-        ]:
-            for name, mat in coeffs.items():
-                if name not in sides:
-                    malformed = f"{where} references unknown block {name!r}"
-                    break
-                mat = np.asarray(mat)
-                if mat.shape != (sides[name], sides[name]):
-                    malformed = f"{where} coefficient for {name!r} has shape {mat.shape}"
-                    break
-                pos, mats = stacks.setdefault(name, ([], []))
-                pos.append(len(where_name))
-                mats.append(mat)
-                where_name.append((where, name))
-            if malformed:
-                break
-        bad = []  # per block, the first coefficient that is not finite and the first not Hermitian
-        for pos, mats in stacks.values():
-            stack = np.stack(mats)
-            top = np.abs(stack).max(axis=(1, 2))
-            with np.errstate(invalid="ignore"):
-                skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-            unhermitian = skew > 1e-9 * np.maximum(1.0, top)
-            for flags, what in ((~np.isfinite(top), "is not finite"), (unhermitian, "is not Hermitian")):
-                hits = np.flatnonzero(flags)
-                if hits.size:
-                    bad.append((pos[hits[0]], what))
-        if bad:
-            first, what = min(bad, key=lambda hit: hit[0])  # a tie keeps "is not finite"
-            where, name = where_name[first]
-            raise ValueError(f"{where} coefficient for {name!r} {what}")
-        if malformed:
-            raise ValueError(malformed)
+        object.__setattr__(self, "_assembled", _assemble(self))  # solve reads this: later edits go unseen
 
 
 @dataclass
@@ -256,9 +209,18 @@ class _Assembled:
 
 
 def _assemble(program: ConicProgram) -> _Assembled:
+    """Check a program and lay out its c, A and b over the svec coordinates of its blocks and slacks."""
+    if program.sense not in ("min", "max"):
+        raise ValueError(f"program sense must be 'min' or 'max', got {program.sense!r}")
+    names = [b.name for b in program.blocks]
+    if len(set(names)) != len(names):
+        raise ValueError("block names must be unique")
+    for k, con in enumerate(program.constraints):
+        if not math.isfinite(con.rhs):
+            raise ValueError(f"constraint {k} rhs {con.rhs} is not finite")
+
     ge = [k for k, con in enumerate(program.constraints) if con.sense == "ge"]
     blocks = list(program.blocks) + [Block(f"__slack{k}", 1) for k in ge]
-
     layout: list[tuple[str, int, slice]] = []
     offset = 0
     for blk in blocks:
@@ -266,26 +228,62 @@ def _assemble(program: ConicProgram) -> _Assembled:
         layout.append((blk.name, blk.side, slice(offset, offset + size)))
         offset += size
     total = offset
+    index = {name: (side, sl) for name, side, sl in layout[: len(program.blocks)]}
 
-    index = {name: (side, sl) for name, side, sl in layout}
-    flip = program.sense == "max"
+    # names and shapes one coefficient at a time, up to the first bad one; per block,
+    # each coefficient's position in that order, its row (-1 for the objective) and matrix
+    where_name: list[tuple[str, str]] = []
+    stacks: dict[str, tuple[list[int], list[int], list[np.ndarray]]] = {}
+    malformed = None
+    for row, where, coeffs in [(-1, "objective", program.objective)] + [
+        (k, f"constraint {k}", c.coeffs) for k, c in enumerate(program.constraints)
+    ]:
+        for name, mat in coeffs.items():
+            if name not in index:
+                malformed = f"{where} references unknown block {name!r}"
+                break
+            mat = np.asarray(mat)
+            if mat.shape != (index[name][0],) * 2:
+                malformed = f"{where} coefficient for {name!r} has shape {mat.shape}"
+                break
+            pos, rows, mats = stacks.setdefault(name, ([], [], []))
+            pos.append(len(where_name))
+            rows.append(row)
+            mats.append(mat)
+            where_name.append((where, name))
+        if malformed:
+            break
+
+    # values one stack per block, so the first bad coefficient is reported; a clean stack fills c and A
     c = np.zeros(total)
-    for name, mat in program.objective.items():
-        side, sl = index[name]
-        c[sl] = svec(np.asarray(mat, dtype=np.complex128))
+    A = np.zeros((len(program.constraints), total))
+    bad = []  # per block, the first coefficient that is not finite and the first not Hermitian
+    for name, (pos, rows, mats) in stacks.items():
+        stack = np.stack(mats)
+        top = np.abs(stack).max(axis=(1, 2))
+        with np.errstate(invalid="ignore"):
+            skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        unhermitian = skew > 1e-9 * np.maximum(1.0, top)
+        for flags, what in ((~np.isfinite(top), "is not finite"), (unhermitian, "is not Hermitian")):
+            hits = np.flatnonzero(flags)
+            if hits.size:
+                bad.append((pos[hits[0]], what))
+        if not (bad or malformed):
+            coords, sl = svec(stack), index[name][1]
+            if rows[0] < 0:  # the objective's coefficient comes first
+                c[sl], coords, rows = coords[0], coords[1:], rows[1:]
+            A[rows, sl] = coords
+        del stack  # before the next block's stack is built
+    if bad:
+        first, what = min(bad, key=lambda hit: hit[0])  # a tie keeps "is not finite"
+        where, name = where_name[first]
+        raise ValueError(f"{where} coefficient for {name!r} {what}")
+    if malformed:
+        raise ValueError(malformed)
+
+    flip = program.sense == "max"
     if flip:
         c = -c
-
-    # each block's coefficients from every constraint as one stack
-    rows: dict[str, tuple[list[int], list[np.ndarray]]] = {}
-    for k, con in enumerate(program.constraints):
-        for name, mat in con.coeffs.items():
-            ks, mats = rows.setdefault(name, ([], []))
-            ks.append(k)
-            mats.append(mat)
-    A = np.zeros((len(program.constraints), total))
-    for name, (ks, mats) in rows.items():
-        A[ks, index[name][1]] = svec(np.stack(mats))
     A[ge, range(total - len(ge), total)] = -1.0  # the slack blocks close the layout
     b = np.array([con.rhs for con in program.constraints], dtype=np.float64)
     return _Assembled(c, A, b, layout, flip)
@@ -343,7 +341,7 @@ def solve(
     (A A^T numerically singular), and ``ValueError`` when an iterate, the
     value or a block is not finite.
     """
-    data = _assemble(program)
+    data = program._assembled
     A, layout = data.A, data.layout
     m, total = A.shape
     groups = _side_groups(layout)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import udbound
@@ -12,8 +13,8 @@ from udbound import load_certificate, save_certificate, save_ensemble, save_meas
 from udbound.jsonio import write_json
 from udbound import cli
 from udbound.cli import main
-from udbound.ensembles import build_example1, build_two_pure, measurement_to_dict
-from udbound.operators import StateVector, basis_state
+from udbound.ensembles import Ensemble, build_example1, build_two_pure, measurement_to_dict
+from udbound.operators import DimVector, HermitianOperator, StateVector, basis_state
 from helpers import forged_global_as_protocol, forged_global_as_separable, mixed_shape_protocol, one_site_global
 
 
@@ -91,8 +92,9 @@ class TestSolveCommand:
         assert abs(payload["value"] - 0.5) < 1e-6
 
     def test_sep_bound_without_cones(self, example1_files, capsys):
-        code = main(["solve", "sep-bound", "--ensemble", str(example1_files["ensemble"])])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "sep-bound", "--ensemble", str(example1_files["ensemble"])])
+        assert exc.value.code == 2
         assert "--cones" in capsys.readouterr().err
 
     def test_two_pure_global(self, tmp_path):
@@ -104,6 +106,20 @@ class TestSolveCommand:
         assert main(["solve", "global", "--ensemble", str(path), "--tol", "1e-8", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert abs(payload["value"] - (1 - 1 / math.sqrt(2))) < 1e-5
+
+    def test_never_conclusive_state(self, tmp_path, capsys):
+        # |0><0| is never identified: the other state, I/2, has full rank
+        dims = DimVector((2,))
+        states = (basis_state(dims, (0,)).projector(), HermitianOperator(np.eye(2) / 2, dims))
+        path = tmp_path / "ensemble.json"
+        save_ensemble(Ensemble(dims, (0.5, 0.5), states), path)
+        argv = ["solve", "global", "--ensemble", str(path), "--tol", "1e-8"]
+        assert main(argv) == 0
+        assert "states never conclusively identified: 1\n" in capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["never_conclusive"] == [0]
+        assert payload["value"] == pytest.approx(0.25, abs=1e-6)
 
     def test_max_iterations_exit_code(self, example1_files):
         code = main(
@@ -260,11 +276,10 @@ class TestVerifyCommand:
                 str(flat),
                 "--certificate",
                 str(example1_files["global_certificate"]),
-                "--cones",
-                str(example1_files["cones"]),
                 "--out",
                 str(out),
             ]
+            + ([] if kind == "prop1" else ["--cones", str(example1_files["cones"])])
         )
         assert code == 2
         assert capsys.readouterr().err == "error: measurement dims (4,) do not match ensemble (2, 2)\n"
@@ -287,11 +302,10 @@ class TestVerifyCommand:
                 str(example1_files["global_measurement" if kind == "prop1" else "locc_measurement"]),
                 "--certificate",
                 str(flat),
-                "--cones",
-                str(example1_files["cones"]),
                 "--out",
                 str(out),
             ]
+            + ([] if kind == "prop1" else ["--cones", str(example1_files["cones"])])
         )
         assert code == 2
         assert capsys.readouterr().err == "error: certificate dims (4,) do not match ensemble (2, 2)\n"
@@ -376,12 +390,21 @@ class TestTableCommand:
         assert "exceeds cap" in capsys.readouterr().err
 
 
-# Flags no subcommand read, and the csv format, which printed text: each is now a usage error.
+# Flags a command or kind does not read, and the csv format, which printed text: each is a usage error.
+# Each base argv holds every flag its kind requires, so the removed flag is what argparse rejects.
+_CHECKED = ["--ensemble", "e.json", "--measurement", "m.json", "--certificate", "c.json"]
+_UNSEEDED = [["--seed", "1"], ["--max-iter", "5"]]
 _REMOVED_FLAGS = {
     "example1": (["example1"], [["--tol", "1e-8"], ["--seed", "1"], ["--max-iter", "5"], ["--d", "3"], ["--format", "csv"]]),
     "example2": (["example2", "--d", "3"], [["--tol", "1e-8"], ["--seed", "1"], ["--max-iter", "5"], ["--format", "csv"]]),
-    "solve": (["solve", "global", "--ensemble", "missing.json"], [["--format", "csv"]]),
-    "verify": (["verify", "prop1", "--ensemble", "missing.json"], [["--format", "csv"]]),
+    "solve": (["solve", "global", "--ensemble", "e.json"], [["--format", "csv"], ["--cones", "k.json"]]),
+    "verify": (["verify", "prop1"] + _CHECKED, [["--format", "csv"], ["--cones", "k.json"]] + _UNSEEDED),
+    "verify thm3": (["verify", "thm3", "--cones", "k.json"] + _CHECKED, _UNSEEDED),
+    "verify cor3": (["verify", "cor3", "--cones", "k.json"] + _CHECKED, _UNSEEDED),
+    "verify nlwe": (
+        ["verify", "nlwe", "--ensemble", "e.json", "--cones", "k.json"],
+        [["--measurement", "m.json"], ["--certificate", "c.json"]],
+    ),
     "table": (["table", "--d-min", "3", "--d-max", "3"], [["--format", "csv"], ["--format", "text"]]),
 }
 
@@ -398,6 +421,27 @@ def test_removed_flags_are_usage_errors(command, tmp_path, capsys):
         assert err.startswith("usage: udbound ")
         assert "unrecognized arguments" in err or "invalid choice: 'csv'" in err, (flag, err)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [("solve sep-bound", "--cones")]
+    + [(f"verify {k}", f) for k in ("prop1", "thm3", "cor3") for f in ("--measurement", "--certificate")]
+    + [(f"verify {k}", "--cones") for k in ("thm3", "cor3", "nlwe")],
+)
+def test_missing_required_flag_is_usage_error(kind, flag, capsys):
+    required = {
+        "solve sep-bound": ["--ensemble", "--cones"],
+        "verify prop1": ["--ensemble", "--measurement", "--certificate"],
+        "verify thm3": ["--ensemble", "--measurement", "--certificate", "--cones"],
+        "verify cor3": ["--ensemble", "--measurement", "--certificate", "--cones"],
+        "verify nlwe": ["--ensemble", "--cones"],
+    }[kind]
+    argv = kind.split() + [arg for f in required if f != flag for arg in (f, "missing.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: the following arguments are required: {flag}\n")
 
 
 class TestDeterminism:

@@ -93,6 +93,13 @@ class TestStateVector:
         with pytest.raises(ValueError, match=rf"amplitude {entry} is {re.escape(str(amp[entry]))}, not finite"):
             build(amp, DimVector((2, 2)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("top, phase", [(1e200, 1.0), (complex(1.5e308, 1.5e308), complex(1.0, 1.0) / math.sqrt(2))])
+    def test_normalizes_finite_amplitudes_whose_norm_overflows(self, top, phase):
+        state = StateVector.normalized([top, top, 0, 0], (2, 2))
+        expected = np.array([phase, phase, 0, 0]) / math.sqrt(2)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+
     def test_rejects_non_unit_norm(self):
         with pytest.raises(ValueError, match="vector norm"):
             StateVector(np.array([1.0, 1.0, 0.0, 0.0]), DimVector((2, 2)))

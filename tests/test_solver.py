@@ -11,6 +11,8 @@ from udbound import (
     ConicProgram,
     Constraint,
     DimVector,
+    Ensemble,
+    HermitianOperator,
     StateVector,
     basis_state,
     build_example1,
@@ -381,6 +383,14 @@ class TestSeparableBound:
         single = Ensemble(dims, (1.0,), (ensemble_state,))
         report = solve_separable_bound(single, [ConeGenerators(dims, ())], tol=1e-8)
         assert report.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_no_support_gives_zero_report(self):
+        # empty cones fall back to the no-error subspaces, and those of full-rank states are zero
+        dims = DimVector((2,))
+        states = (HermitianOperator(np.eye(2) / 2, dims), HermitianOperator(np.diag([0.7, 0.3]), dims))
+        ensemble = Ensemble(dims, (0.5, 0.5), states)
+        report = solve_separable_bound(ensemble, [ConeGenerators(dims, ())] * 2, tol=1e-8)
+        assert (report.status, report.value, report.iterations) == ("optimal", 0.0, 0)
 
     def test_missing_cone_errors(self):
         ensemble, _ = build_example1()

@@ -205,6 +205,17 @@ class TestVerifySeparableCertificate:
         assert "14a" in report.unverified
         assert any("unverified" in note for note in report.notes)
 
+    def test_certificate_certified_by_partial_transpose(self, example1):
+        # the 2x2 swap has eigenvalue -1, and its partial transpose is 2|Phi+><Phi+|, PSD
+        ensemble, fixtures, cones = example1
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        report = verify_separable_certificate(
+            ensemble, fixtures.locc_measurement, HermitianOperator(swap, ensemble.dims), cones, tol=1e-8
+        )
+        assert report.residuals["14a"] == 0.0
+        assert "certified via partial transpose across sites (0,)" in report.notes
+        assert report.details["14a"]["psd"] == -1.0
+
 
 class TestVerifyLoccEquality:
     def test_example1_passes(self, example1):
