@@ -2,9 +2,11 @@
 
 Exit codes: 0 success / verification pass / optimal solve, 1 verification
 fail (or no witnessed gap), 2 usage or input error, 3 solver hit the
-iteration cap, 4 detected infeasibility or unboundedness.  Written reports
-contain no timestamps and are byte-identical across runs with the same
-inputs and seed.
+iteration cap, 4 detected infeasibility or unboundedness.  ``verify nlwe``
+and ``table`` exit 3 or 4 when any of their solves stops short of optimal,
+by the status of the first such solve, which stderr names; their output is
+written all the same.  Written reports contain no timestamps and are
+byte-identical across runs with the same inputs and seed.
 """
 
 from __future__ import annotations
@@ -96,11 +98,7 @@ def _cmd_example(args) -> int:
         f"separable bound {_fmt(fixtures.sep_certificate.trace)}",
     ]
     lines += [f"wrote {p}" for p in paths.values()]
-    if args.format == "json":
-        print(dumps({k: str(p) for k, p in paths.items()}))
-    else:
-        for line in lines:
-            print(line)
+    _emit({k: str(p) for k, p in paths.items()}, args.format, None, lines)
     return 0
 
 
@@ -127,6 +125,15 @@ def _cmd_solve(args) -> int:
     return _STATUS_EXIT.get(report.status, 1)
 
 
+def _short_of_optimal(result, where: str = "") -> int:
+    """Exit code of the first of nlwe's solves that is not optimal, named on stderr; 0 if both are."""
+    for name, report in (("global", result.global_report), ("sep-bound", result.bound_report)):
+        if report.status != "optimal":
+            print(f"WARNING{where}: {name} solve stopped short of optimal ({report.status})", file=sys.stderr)
+            return _STATUS_EXIT.get(report.status, 1)
+    return 0
+
+
 def _cmd_nlwe(args) -> int:
     ensemble = load_ensemble(args.ensemble)
     cones = load_cones(args.cones)
@@ -138,7 +145,7 @@ def _cmd_nlwe(args) -> int:
         f"witnessed: {'true' if result.witnessed else 'false'}",
     ]
     _emit(payload, args.format, args.out, lines)
-    return 0 if result.witnessed else 1
+    return _short_of_optimal(result) or (0 if result.witnessed else 1)
 
 
 def _cmd_verify(args) -> int:
@@ -175,6 +182,7 @@ def _closed_forms(d: int) -> tuple[float, float]:
 def _cmd_table(args) -> int:
     cap = _dim_cap()
     rows = []
+    code = 0
     for d in range(args.d_min, args.d_max + 1):
         ensemble, _ = build_example2(d, dim_cap=cap)
         cones = [example_cone_generators(ensemble, "example2", i) for i in range(ensemble.n)]
@@ -186,6 +194,8 @@ def _cmd_table(args) -> int:
                 f"deviate from closed forms ({p_form!r}, {q_form!r})",
                 file=sys.stderr,
             )
+        status_code = _short_of_optimal(result, f" d={d}")
+        code = code or status_code
         rows.append(
             f"{d},{d ** (d - 1)},{_fmt(result.p_global)},{_fmt(result.q_bound)},"
             f"{'true' if result.witnessed else 'false'}"
@@ -195,7 +205,7 @@ def _cmd_table(args) -> int:
         Path(args.out).write_text(csv, encoding="utf-8")
     else:
         sys.stdout.write(csv)
-    return 0
+    return code
 
 
 @functools.cache

@@ -12,13 +12,12 @@ subspace.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ensembles import Ensemble, _frozen_factors
+from .ensembles import _EXAMPLE1_VECTORS, Ensemble, _frozen_factors
 from .jsonio import (
     SchemaError,
     dims_from_json,
@@ -40,7 +39,6 @@ from .operators import (
     tensor,
 )
 
-_SQ3 = math.sqrt(3.0)
 #: eigenvalue threshold separating support from kernel
 RANK_TOL = 1e-9
 #: largest second eigenvalue of a single-site marginal of a product state
@@ -173,14 +171,6 @@ def check_no_error_cone(ensemble: Ensemble, i: int, cone: ConeGenerators, tol: f
                 )
 
 
-def _example1_local_vectors() -> dict[str, np.ndarray]:
-    return {
-        "one": np.array([0.0, 1.0]),
-        "mu_p": np.array([_SQ3 / 2, 0.5]),
-        "mu_m": np.array([_SQ3 / 2, -0.5]),
-    }
-
-
 def example_cone_generators(ensemble: Ensemble, which: str, i: int) -> ConeGenerators:
     """Exact separable no-error cone generators for the builder families.
 
@@ -202,8 +192,7 @@ def example_cone_generators(ensemble: Ensemble, which: str, i: int) -> ConeGener
 
     dims = ensemble.dims
     if which == "example1":
-        loc = _example1_local_vectors()
-        p = {k: np.outer(v, v) for k, v in loc.items()}
+        p = {k: np.outer(v, v) for k, v in _EXAMPLE1_VECTORS.items()}
         pairs = {
             0: (("mu_p", "mu_m"), ("mu_m", "mu_p")),
             1: (("mu_p", "one"), ("one", "mu_p")),

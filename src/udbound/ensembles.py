@@ -34,6 +34,7 @@ from .operators import (
     DimVector,
     HermitianOperator,
     StateVector,
+    basis_state,
     kron_sum,
     min_eigenvalue,
     min_eigenvalues,
@@ -42,6 +43,15 @@ from .operators import (
 )
 
 _SQ3 = math.sqrt(3.0)
+#: example1's local vectors: |0>, |1>, nu+- (|0> rotated by +-120 degrees) and mu+- (orthogonal to nu-+)
+_EXAMPLE1_VECTORS = {
+    "zero": np.array([1.0, 0.0]),
+    "one": np.array([0.0, 1.0]),
+    "nu_p": np.array([0.5, _SQ3 / 2]),
+    "nu_m": np.array([0.5, -_SQ3 / 2]),
+    "mu_p": np.array([_SQ3 / 2, 0.5]),
+    "mu_m": np.array([_SQ3 / 2, -0.5]),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,15 +251,9 @@ def build_example1() -> tuple[Ensemble, ExampleFixtures]:
     with its certificate (value 1/2).
     """
     dims = DimVector((2, 2))
-    zero = np.array([1.0, 0.0])
-    one = np.array([0.0, 1.0])
-    nu_p = np.array([0.5, _SQ3 / 2])
-    nu_m = np.array([0.5, -_SQ3 / 2])
-    mu_p = np.array([_SQ3 / 2, 0.5])
-    mu_m = np.array([_SQ3 / 2, -0.5])
-
+    v = _EXAMPLE1_VECTORS
     states = tuple(
-        HermitianOperator(_proj(np.kron(v, v)), dims) for v in (zero, nu_p, nu_m)
+        HermitianOperator(_proj(np.kron(v[k], v[k])), dims) for k in ("zero", "nu_p", "nu_m")
     )
     ensemble = Ensemble(dims, (1 / 3, 1 / 3, 1 / 3), states, label="example1")
 
@@ -275,7 +279,7 @@ def build_example1() -> tuple[Ensemble, ExampleFixtures]:
     )
     sep_certificate = HermitianOperator(0.5 * _proj(bell_psi_m), dims)
 
-    p_one, p_mu_p, p_mu_m = _proj(one), _proj(mu_p), _proj(mu_m)
+    p_one, p_mu_p, p_mu_m = (_proj(v[k]) for k in ("one", "mu_p", "mu_m"))
     c = 4.0 / 9.0
     locc_terms = [
         [(c * p_one, p_one), (c * p_mu_p, p_mu_p), (c * p_mu_m, p_mu_m)],
@@ -322,47 +326,15 @@ def build_example1() -> tuple[Ensemble, ExampleFixtures]:
     return ensemble, fixtures
 
 
-def _aligned_vector(d: int, j: int) -> np.ndarray:
-    sites = d - 1
-    e = np.zeros(d)
-    e[j - 1] = 1.0
-    vec = np.ones(1)
-    for _ in range(sites):
-        vec = np.kron(vec, e)
-    return vec
-
-
-def _shifted_vector(d: int, j: int) -> np.ndarray:
-    """Uniform superposition of the cyclic-shift product strings avoiding j-1.
-
-    For each starting symbol k != j-1 the term is the product over sites
-    l = 0, 1, ... (in increasing order, skipping the single l whose shifted
-    symbol would hit j-1) of the basis vector |k+l mod d>.
-    """
-    sites = d - 1
-    total = np.zeros(d**sites)
-    for k in range(d):
-        if k == j - 1:
-            continue
-        vec = np.ones(1)
-        for l in range(d):
-            sym = (k + l) % d
-            if sym == j - 1:
-                continue
-            e = np.zeros(d)
-            e[sym] = 1.0
-            vec = np.kron(vec, e)
-        total += vec
-    return total / math.sqrt(d - 1)
-
-
 def build_example2(d: int, dim_cap: int = 1024) -> tuple[Ensemble, ExampleFixtures]:
     """Family of d equal-prior mixed states on (d-1) qudits, d >= 3.
 
-    Each state is the normalized projector complementary to the other
-    states' aligned/shifted pairs; the global optimum is attained by the
-    rank-two conclusive projectors and the local optimum by measuring the
-    computational basis at every site.
+    State j's aligned vector is the basis string |j...j>; its shifted
+    vector is the normalized sum of the d-1 strings that run cyclically
+    from each k != j, skipping the symbol j.  Each state is the normalized
+    projector complementary to the other states' aligned/shifted pairs; the
+    global optimum is attained by the rank-two conclusive projectors and
+    the local optimum by measuring the computational basis at every site.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -372,9 +344,17 @@ def build_example2(d: int, dim_cap: int = 1024) -> tuple[Ensemble, ExampleFixtur
         raise ValueError(f"total dimension {total_dim} exceeds cap {dim_cap}")
     dims = DimVector((d,) * sites)
 
-    aligned = [_aligned_vector(d, j) for j in range(1, d + 1)]
-    shifted = [_shifted_vector(d, j) for j in range(1, d + 1)]
+    def vector(strings) -> np.ndarray:
+        # real amplitudes, so the states below are divided in real arithmetic
+        return sum(basis_state(dims, s).amplitudes.real for s in strings) / math.sqrt(len(strings))
+
+    aligned = [vector([(j,) * sites]) for j in range(d)]
+    shifted = [
+        vector([tuple((k + l) % d for l in range(d) if (k + l) % d != j) for k in range(d) if k != j])
+        for j in range(d)
+    ]
     pair_projs = [_proj(a) + _proj(s) for a, s in zip(aligned, shifted)]
+    aligned_projs = [_proj(a) for a in aligned]
 
     norm = total_dim - 2 * (d - 1)
     eye = np.eye(total_dim)
@@ -392,32 +372,21 @@ def build_example2(d: int, dim_cap: int = 1024) -> tuple[Ensemble, ExampleFixtur
         label=f"example2-global:d={d}",
     )
     global_certificate = HermitianOperator(sum(pair_projs) / (d * norm), dims)
-    sep_certificate = HermitianOperator(sum(_proj(a) for a in aligned) / (d * norm), dims)
+    sep_certificate = HermitianOperator(sum(aligned_projs) / (d * norm), dims)
 
     local_basis = tuple(_proj(np.eye(d)[k]) for k in range(d))
-    m0_locc = eye - sum(_proj(a) for a in aligned)
-    m0_terms = []
-    for tup in itertools.product(range(d), repeat=sites):
-        if len(set(tup)) == 1:
-            continue
-        m0_terms.append(tuple(local_basis[k] for k in tup))
-    locc_elements = [HermitianOperator(m0_locc, dims)]
-    decompositions = [SeparableDecomposition(tuple(m0_terms))]
-    for j in range(d):
-        locc_elements.append(HermitianOperator(_proj(aligned[j]), dims))
-        decompositions.append(
-            SeparableDecomposition(((tuple(local_basis[j] for _ in range(sites))),))
-        )
     protocol = LoccProtocol(
         description="same local measurement {|i><i|} on all subsystems",
         site_povms=(local_basis,) * sites,
         assignment={(j,) * sites: j + 1 for j in range(d)},
         default_element=0,
     )
+    # closed-form elements, so that verify cor3 checks the protocol against operators it did not build
+    locc_elements = [eye - sum(aligned_projs)] + aligned_projs
     locc_measurement = Measurement(
         dims,
-        tuple(locc_elements),
-        decompositions=tuple(decompositions),
+        tuple(HermitianOperator(m, dims) for m in locc_elements),
+        decompositions=tuple(protocol.derive_decompositions(dims, d + 1)),
         locc_protocol=protocol,
         label=f"example2-locc:d={d}",
     )

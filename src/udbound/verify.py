@@ -341,8 +341,10 @@ def nlwe_witness(
 ) -> NlweReport:
     """Solve both programs and compare: a strict gap witnesses nonlocality.
 
-    Raises ``ValueError`` unless each cone i lies in the no-error cone of
-    state i (see :func:`cones.check_no_error_cone`).
+    Only two optimal solves witness a gap: the value of an iterate that
+    stopped short says nothing about the optimum.  Raises ``ValueError``
+    unless each cone i lies in the no-error cone of state i (see
+    :func:`cones.check_no_error_cone`).
     """
     _check_cones(ensemble, cones, tol)
     global_report = solve_global(ensemble, tol=tol, max_iter=max_iter, seed=seed)
@@ -350,7 +352,7 @@ def nlwe_witness(
     p = global_report.value
     q = bound_report.value
     return NlweReport(
-        witnessed=bool(q < p - 2 * tol),
+        witnessed=bool(global_report.status == bound_report.status == "optimal" and q < p - 2 * tol),
         p_global=p,
         q_bound=q,
         tolerance=tol,

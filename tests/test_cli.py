@@ -42,6 +42,11 @@ class TestExampleCommands:
         captured = capsys.readouterr().out
         assert "n=3" in captured and "2x2" in captured
 
+    def test_example1_json_lists_the_six_paths(self, example1_files, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["example1", "--format", "json", "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {k: str(p) for k, p in example1_files.items()}
+
     def test_example2_d3(self, tmp_path):
         assert main(["example2", "--d", "3", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "example2_d3_ensemble.json").exists()
@@ -238,6 +243,28 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("max_iter", ["1", "2"])
+    def test_nlwe_short_of_optimal_exits_3(self, example1_files, capsys, max_iter):
+        # p and q read 0 after one iteration, and p_global is above 1 after two: neither is an optimum
+        code = main(
+            [
+                "verify",
+                "nlwe",
+                "--ensemble",
+                str(example1_files["ensemble"]),
+                "--cones",
+                str(example1_files["cones"]),
+                "--max-iter",
+                max_iter,
+                "--format",
+                "json",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["witnessed"] is False
+        assert "WARNING: global solve stopped short of optimal (max_iterations)" in captured.err
+
     @pytest.mark.parametrize(
         "kind, forge", [("thm3", forged_global_as_separable), ("cor3", forged_global_as_protocol)]
     )
@@ -378,6 +405,19 @@ class TestTableCommand:
         assert abs(float(fields[2]) - 0.4) < 1e-5
         assert abs(float(fields[3]) - 0.2) < 1e-5
         assert fields[4] == "true"
+
+    def test_short_of_optimal_exits_3_and_writes_the_row(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["table", "--d-min", "3", "--d-max", "3", "--max-iter", "1", "--out", str(out)]) == 3
+        assert out.read_text().splitlines()[1] == "3,9,0,0,false"
+        assert "WARNING d=3: global solve stopped short of optimal (max_iterations)" in capsys.readouterr().err
+
+    def test_stdout_holds_the_bytes_written_to_out(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["table", "--d-min", "3", "--d-max", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["table", "--d-min", "3", "--d-max", "3"]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_empty_range_header_only(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -29,7 +29,7 @@ from udbound import (
 from udbound import programs, solver
 from udbound.jsonio import dumps
 from udbound.solver import _project_cone, _side_groups, hermitian_basis, smat, svec
-from helpers import random_ensemble, solve_global_certificate
+from helpers import random_density, random_ensemble, solve_global_certificate
 
 
 class TestSvec:
@@ -428,6 +428,21 @@ class TestDualityOnRandomEnsembles:
             assert m.completeness_residual() < 1e-6
             assert m.psd_residual() < 1e-6
             assert check_no_error(ensemble, m, tol=1e-6).passed
+
+    def test_skewed_priors_pass_through_residual_balancing(self):
+        # priors near (1, 0) on two qubits: the residuals drift apart, and at iteration 100 sigma is rescaled
+        rng = np.random.default_rng(116)
+        qubits, n = rng.integers(2, 4), rng.integers(2, 5)
+        weights = rng.exponential(size=n) ** 3 + 1e-3
+        priors = tuple(float(w) for w in weights / weights.sum())
+        states = tuple(
+            random_density(rng, (2,) * qubits, rank=1 if rng.random() < 2 / 3 else 2) for _ in range(n)
+        )
+        ensemble = Ensemble(DimVector((2,) * int(qubits)), priors, states)
+        report = solve_global(ensemble, tol=1e-8)
+        _, dual_value = solve_global_certificate(ensemble, tol=1e-8)
+        assert report.status == "optimal" and report.iterations > 100
+        assert abs(report.value - dual_value) <= 2e-6
 
 
 class TestReportHonesty:

@@ -121,6 +121,14 @@ class TestVerifyOptimality:
         with pytest.raises(PrecheckError, match="completeness"):
             verify_optimality(ensemble, broken, fixtures.global_certificate)
 
+    def test_swapped_elements_fail_no_error_precheck(self, example1):
+        ensemble, fixtures, _ = example1
+        elements = list(fixtures.global_measurement.elements)
+        elements[1], elements[2] = elements[2], elements[1]
+        swapped = Measurement(ensemble.dims, tuple(elements))
+        with pytest.raises(PrecheckError, match="no-error precheck failed"):
+            verify_optimality(ensemble, swapped, fixtures.global_certificate)
+
 
 class TestVerifySeparableCertificate:
     def test_example1_passes(self, example1):
@@ -282,6 +290,19 @@ class TestVerifyLoccEquality:
         with pytest.raises(PrecheckError, match="protocol"):
             verify_locc_equality(ensemble, bare, fixtures.sep_certificate, cones)
 
+    def test_misassigned_outcome_is_not_reproduced(self, example1):
+        ensemble, fixtures, cones = example1
+        protocol = fixtures.locc_measurement.locc_protocol
+        moved = LoccProtocol(protocol.description, protocol.site_povms, {**protocol.assignment, (1, 2): 2})
+        mutated = Measurement(
+            ensemble.dims,
+            fixtures.locc_measurement.elements,
+            decompositions=fixtures.locc_measurement.decompositions,
+            locc_protocol=moved,
+        )
+        with pytest.raises(ProtocolError, match="protocol does not reproduce element 1"):
+            verify_locc_equality(ensemble, mutated, fixtures.sep_certificate, cones)
+
 
 class TestForgedProductStructure:
     """Factors must have the site sides; otherwise the global optimum 3/4 passes as local."""
@@ -383,6 +404,14 @@ class TestNlweWitness:
         assert result.witnessed
         assert result.p_global == pytest.approx(0.75, abs=1e-6)
         assert result.q_bound == pytest.approx(0.5, abs=1e-6)
+
+    def test_unconverged_solves_witness_nothing(self, example1):
+        # after two iterations p_global is above 1 and q_bound far below it
+        ensemble, _, cones = example1
+        result = nlwe_witness(ensemble, cones, tol=1e-7, max_iter=2)
+        assert result.global_report.status == "max_iterations"
+        assert result.q_bound < result.p_global - 2e-7
+        assert not result.witnessed
 
     def test_orthogonal_product_pair_not_witnessed(self):
         dims = DimVector((2, 2))
