@@ -32,6 +32,8 @@ from .operators import (
     DimVector,
     HermitianOperator,
     StateVector,
+    _by_arithmetic,
+    basis_state,
     hs_inner,
     kron_sum,
     min_eigenvalue,
@@ -92,8 +94,9 @@ class ConeGenerators:
 
 
 def split_support(psd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns) of the range and kernel of a PSD matrix, split at ``RANK_TOL``."""
-    vals, vecs = np.linalg.eigh((psd + psd.conj().T) / 2)
+    """Orthonormal bases (columns) of the range and kernel of a PSD matrix, split at ``RANK_TOL``; real for real data."""
+    ((_, (herm,)),) = _by_arithmetic(((psd + psd.conj().T) / 2)[None])
+    vals, vecs = np.linalg.eigh(herm)
     keep = vals > RANK_TOL
     return vecs[:, keep], vecs[:, ~keep]
 
@@ -200,9 +203,7 @@ def example_cone_generators(ensemble: Ensemble, which: str, i: int) -> ConeGener
         }[i]
         forms = tuple(tuple(p[name] for name in pair) for pair in pairs)
     else:
-        d = dims.dims[0]
-        e = np.zeros(d)
-        e[i] = 1.0
+        e = basis_state(dims.dims[:1], (i,)).amplitudes.real
         forms = ((np.outer(e, e),) * dims.sites,)
 
     generators = tuple(

@@ -301,42 +301,49 @@ def partial_transpose(
     return out
 
 
-def min_eigenvalue(op: Union[HermitianOperator, np.ndarray]) -> float:
-    """Smallest eigenvalue of the Hermitian part; NaN if an entry is not finite.
-
-    LAPACK does not propagate NaN: eigvalsh of [[nan, 0], [0, 1]] returns
-    [0, -0], which would read as PSD.  A Hermitian part with no imaginary
-    entry is decomposed as a real symmetric matrix, several times faster.
-    """
-    mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
-    if not np.isfinite(mat).all():
-        return math.nan
-    mat = (mat + mat.conj().T) / 2
-    if not mat.imag.any():
-        mat = mat.real
-    return float(np.linalg.eigvalsh(mat)[0])
+def _by_arithmetic(herm: np.ndarray) -> list[tuple[Union[slice, np.ndarray], np.ndarray]]:
+    """(rows, matrices) of a (count, side, side) Hermitian stack: real where a matrix has no imaginary entry."""
+    complex_ = herm.imag.any(axis=(1, 2))
+    count = np.count_nonzero(complex_)
+    if count in (0, len(herm)):
+        return [(slice(None), herm if count else herm.real)]
+    return [(~complex_, herm.real[~complex_]), (complex_, herm[complex_])]
 
 
 def min_eigenvalues(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """:func:`min_eigenvalue` of each square matrix, with one batched ``eigvalsh`` per side and kind.
+    """Smallest eigenvalue of each square matrix's Hermitian part; NaN if an entry is not finite.
 
-    Its rules hold matrix by matrix, and so do the results, bit for bit.
-    From two matrices on this is faster than one call per matrix.
+    LAPACK does not propagate NaN: eigvalsh of [[nan, 0], [0, 1]] returns
+    [0, -0], which would read as PSD.  A Hermitian part with no imaginary
+    entry is decomposed in real arithmetic, several times faster.  One
+    batched ``eigvalsh`` per side and arithmetic gives each matrix the
+    value it gets alone, bit for bit.
     """
     out = np.full(len(mats), math.nan)
     sides: dict[int, list[int]] = {}
     for k, m in enumerate(mats):
         sides.setdefault(m.shape[0], []).append(k)
     for idx in map(np.array, sides.values()):
-        stack = np.stack([mats[k] for k in idx])
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
+        stack = mats[idx[0]][None] if len(idx) == 1 else np.stack([mats[k] for k in idx])
+        if not np.isfinite(stack).all():
+            finite = np.isfinite(stack).all(axis=(1, 2))
             idx, stack = idx[finite], stack[finite]
-        herm = (stack + stack.conj().swapaxes(1, 2)) / 2
-        real = ~herm.imag.any(axis=(1, 2))
-        for sel, part in ((real, herm.real), (~real, herm)):
-            if sel.any():
-                out[idx[sel]] = np.linalg.eigvalsh(part if sel.all() else part[sel])[:, 0]
+        for rows, herm in _by_arithmetic((stack + stack.conj().swapaxes(1, 2)) / 2):
+            out[idx[rows]] = np.linalg.eigvalsh(herm)[:, 0]
+    return out
+
+
+def min_eigenvalue(op: Union[HermitianOperator, np.ndarray]) -> float:
+    """:func:`min_eigenvalues` of one operator or square matrix."""
+    return float(min_eigenvalues((op.matrix if isinstance(op, HermitianOperator) else np.asarray(op),))[0])
+
+
+def psd_part(stack: np.ndarray) -> np.ndarray:
+    """PSD projection (eigenvalues clipped at 0) of each Hermitian matrix of a (count, side, side) stack."""
+    out = np.empty(stack.shape, dtype=np.complex128)
+    for rows, herm in _by_arithmetic(stack):
+        vals, vecs = np.linalg.eigh(herm)
+        out[rows] = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     return out
 
 

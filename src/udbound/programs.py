@@ -27,7 +27,7 @@ import numpy as np
 
 from .cones import ConeGenerators, conclusive_subspace, no_error_subspaces, split_support
 from .ensembles import Ensemble, Measurement
-from .operators import HermitianOperator
+from .operators import HermitianOperator, psd_part
 from .solver import Block, ConicProgram, Constraint, SolveReport, hermitian_basis, smat, solve
 
 
@@ -104,10 +104,7 @@ def solve_global(
     mats = [np.zeros((dims.total,) * 2, dtype=np.complex128) for _ in range(ensemble.n)]
     value = 0.0
     for i, (basis, _, _) in data.items():
-        block = report.blocks[f"x{i}"]
-        vals, vecs = np.linalg.eigh((block + block.conj().T) / 2)
-        clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-        mats[i] = basis @ clipped @ basis.conj().T
+        mats[i] = basis @ psd_part(report.blocks[f"x{i}"][None])[0] @ basis.conj().T
         value += ensemble.priors[i] * float(np.tensordot(ensemble.states[i].matrix, mats[i].T, axes=2).real)
     elements = [HermitianOperator(np.eye(dims.total) - sum(mats), dims)]
     elements += [HermitianOperator(mat, dims) for mat in mats]

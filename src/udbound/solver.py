@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import HermitianOperator
+from .operators import HermitianOperator, psd_part
 
 _SQRT2 = math.sqrt(2.0)
 _SIGMA = 1.0  # initial ADMM penalty; residual balancing doubles or halves it
@@ -298,20 +298,14 @@ def _side_groups(layout) -> list[tuple[int, np.ndarray]]:
 
 
 def _project_cone(vec: np.ndarray, groups) -> np.ndarray:
-    """Project onto the product cone, one batched eigendecomposition per side group."""
+    """Project onto the product cone, one batched eigendecomposition per side group and arithmetic."""
     out = np.empty_like(vec)
     for side, idx in groups:
         x = vec[idx]
         if side == 1:
             out[idx] = np.where(x > 0.0, x, 0.0)  # max(0.0, x): NaN and -0.0 give +0.0
             continue
-        w, v = np.linalg.eigh(smat(x, side))
-        w = np.maximum(w, 0.0)
-        clipped = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        # svec of each clipped matrix: gather its real coordinates, scale the off-diagonal ones
-        coords = clipped.reshape(len(idx), side * side).view(np.float64)[:, _indices(side)[3]]
-        coords[:, side:] *= _SQRT2
-        out[idx] = coords
+        out[idx] = svec(psd_part(smat(x, side)))
     return out
 
 

@@ -22,7 +22,7 @@ from udbound import (
     partial_trace,
     tensor,
 )
-from udbound.operators import kron_sum, min_eigenvalues, nan_max
+from udbound.operators import kron_sum, min_eigenvalues, nan_max, psd_part
 from helpers import random_hermitian, random_psd, reference_min_eigenvalue
 
 SQ3 = math.sqrt(3.0)
@@ -324,6 +324,54 @@ class TestStackedMinEigenvalues:
         ConeGenerators(dims, (generator,), ((good, np.abs(bad)),))
         with pytest.raises(ValueError, match="generator 0 has a non-PSD local factor"):
             ConeGenerators(dims, (generator,), ((good, bad),))
+
+
+class TestOneSpectralRule:
+    """Real arithmetic exactly where the Hermitian part has no imaginary entry, for eigenvalues and clips alike."""
+
+    @pytest.mark.parametrize("side", [1, 4, 33])
+    @pytest.mark.parametrize("kind", FACTOR_KINDS + ["not hermitian"])
+    def test_min_eigenvalue_equals_the_reference_bit_for_bit(self, kind, side):
+        rng = np.random.default_rng([side, len(kind)])
+        if kind == "not hermitian":
+            mat = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        else:
+            mat = _factor(rng, side, kind)
+        expected = _float_bits(reference_min_eigenvalue(mat))
+        assert _float_bits(min_eigenvalue(mat)) == expected
+        if np.isfinite(mat).all() and kind != "not hermitian":
+            op = HermitianOperator(mat, DimVector((side,)))
+            assert _float_bits(min_eigenvalue(op)) == _float_bits(reference_min_eigenvalue(op.matrix))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 8), st.integers(-8, 8), st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=8, max_size=8),
+    )
+    def test_real_clip_agrees_with_the_complex_clip(self, count, side, exponent, seed, signs):
+        # real symmetric, with exact zero and repeated eigenvalues among the random ones
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((count, side, side)))[0]
+        spectrum = np.array(signs[:side]) * rng.choice([1.0, rng.random()], size=(count, side)) * 10.0**exponent
+        stack = (q * spectrum[:, None, :]) @ q.swapaxes(1, 2)
+        stack = (stack + stack.swapaxes(1, 2)) / 2
+        real = psd_part(stack.astype(np.complex128))
+        assert not real.imag.any()  # no imaginary entry: decomposed in real arithmetic
+        vals, vecs = np.linalg.eigh(stack.astype(np.complex128))
+        complex_ = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        scale = np.abs(stack).max()
+        assert np.abs(real - complex_).max() <= 1e-12 * scale
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.lists(st.sampled_from(["real in complex", "psd", "complex"]), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_clip_of_a_stack_matches_one_matrix_at_a_time(self, side, kinds, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([np.asarray(_factor(rng, side, kind), dtype=np.complex128) for kind in kinds])
+        assert psd_part(stack).tobytes() == np.stack([psd_part(m[None])[0] for m in stack]).tobytes()
 
 
 class TestCompress:
