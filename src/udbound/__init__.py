@@ -46,7 +46,6 @@ from .operators import (
     hs_inner,
     identity,
     min_eigenvalue,
-    partial_trace,
     partial_transpose,
     tensor,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "load_measurement",
     "min_eigenvalue",
     "nlwe_witness",
-    "partial_trace",
     "partial_transpose",
     "save_certificate",
     "save_cones",

@@ -1,26 +1,41 @@
 """JSON codecs shared by the file formats.
 
-Complex matrices are stored as nested rows of [re, im] pairs of finite
-numbers; floats go through Python's repr, so a save/load round trip is
-exact at double precision.  This module alone maps that wire format to
-arrays and validated operators; the other file formats decode their
-matrices through ``operator_from_json`` and ``matrices_from_json``.
+A complex matrix is stored in one of two forms, and every decoder reads
+both, wherever a matrix may appear:
+
+- dense: nested rows of [re, im] pairs of finite numbers;
+- coordinate, for a square matrix: ``{"side": n, "rows": [...],
+  "cols": [...], "re": [...], "im": [...]}``, one list item per stored
+  entry, the layout of a Matrix Market coordinate file.  Every entry not
+  listed is +0.0.
+
+Floats go through Python's repr, so a save/load round trip is exact at
+double precision in either form.  The writer picks the form by one rule,
+:func:`_is_sparse`, from the matrix alone: an entry counts as nonzero by
+its bit pattern (so -0.0 is kept), and a square matrix at most half of
+whose entries are nonzero is written as coordinates.  This module alone
+maps the wire format to arrays and validated operators; the other file
+formats decode their matrices through ``operator_from_json`` and
+``matrices_from_json``.
 
 A file is loaded in one pass, ``read_json(path, decode)``: the text is read
 and parsed, then released, and the parsed tree is decoded and validated,
 all under one pause of the cyclic garbage collector; the tree is dropped
-before the collector resumes.  A matrix is decoded from one flat list of
-its numbers through one ``np.array`` call, after the row and pair lengths
-are checked, and a list of same-side matrices shares one such call.
+before the collector resumes.  A dense matrix is decoded from one flat list
+of its numbers through one ``np.array`` call, after the row and pair
+lengths are checked, and a list of same-side dense matrices shares one such
+call.  A coordinate matrix is decoded from its four lists, one
+``np.array`` call each, after their item types are checked.
 
 Every JSON text the package writes comes from ``dumps``, which reproduces
-``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, with each
-matrix leaf written as its nested lists would be.  ``matrix_to_json``
-returns a float64 (r, c, 2) array, not lists: ``dumps`` writes a pair
-whose parts are both +0.0 as one constant string per indent level, and
-every other pair from one C-encoder pass over the nonzero parts.  A matrix
-read back from a file, nested lists of float pairs, goes through the same
-array writer; every other list is written item by item.
+``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte.
+``matrix_to_json`` returns the coordinate form as a dict of lists, and the
+dense form as a float64 (r, c, 2) array, not lists: ``dumps`` writes a
+pair whose parts are both +0.0 as one constant string per indent level,
+and every other pair from one C-encoder pass over the nonzero parts.  A
+list of ints and floats, such as a coordinate list, is written from one
+C-encoder pass, and so is a dense matrix read back from a file, nested
+lists of float pairs; every other list is written item by item.
 """
 
 from __future__ import annotations
@@ -40,19 +55,42 @@ class SchemaError(ValueError):
     """A file does not match the expected schema; the message names the field."""
 
 
-def matrix_to_json(mat: np.ndarray) -> np.ndarray:
-    """The float64 (r, c, 2) array of [re, im] pairs; ``dumps`` writes it as nested lists."""
+def matrix_to_json(mat: np.ndarray) -> Union[dict, np.ndarray]:
+    """The coordinate object of ``mat`` if :func:`_is_sparse` holds, else its float64 (r, c, 2) array of
+    [re, im] pairs; ``dumps`` writes either."""
     mat = np.asarray(mat, dtype=np.complex128)
-    return np.stack((mat.real, mat.imag), axis=-1)
+    pairs = np.stack((mat.real, mat.imag), axis=-1)
+    nonzero = pairs.view(np.uint64).any(axis=-1)
+    if not _is_sparse(nonzero):
+        return pairs
+    rows, cols = np.nonzero(nonzero)
+    entries = pairs[rows, cols]
+    return {
+        "side": len(pairs),
+        "rows": rows.tolist(),
+        "cols": cols.tolist(),
+        "re": entries[:, 0].tolist(),
+        "im": entries[:, 1].tolist(),
+    }
+
+
+def _is_sparse(nonzero: np.ndarray) -> bool:
+    """The writer's one rule, on the mask of entries whose bits are not all zero: a non-empty square
+    matrix with at most half of its entries nonzero is written as coordinates."""
+    rows, cols = nonzero.shape
+    return rows == cols > 0 and 2 * np.count_nonzero(nonzero) <= nonzero.size
 
 
 def matrix_from_json(data: Any, field: str) -> np.ndarray:
-    """Decode a square matrix of finite [re, im] pairs.
+    """Decode a square matrix, a coordinate object or dense [re, im] pairs of finite numbers.
 
-    A list is read as a JSON tree through :func:`_stack`.  Any other value,
-    such as the float64 (r, c, 2) array of :func:`matrix_to_json`, goes
-    through one ``np.array`` call under the same rules.
+    A dict is read by :func:`_from_coordinates`, a list as a JSON tree
+    through :func:`_stack`.  Any other value, such as the float64 (r, c, 2)
+    array of :func:`matrix_to_json`, goes through one ``np.array`` call
+    under the dense rules.
     """
+    if isinstance(data, dict):
+        return _from_coordinates(data, field)
     if isinstance(data, list):
         stack = _stack([data])
     else:
@@ -68,17 +106,67 @@ def matrix_from_json(data: Any, field: str) -> np.ndarray:
 
 
 def matrices_from_json(data: Any, field: str) -> tuple[np.ndarray, ...]:
-    """Decode a non-empty list of matrices, in one pass when they share one side.
+    """Decode a non-empty list of matrices, in one pass when they are dense and share one side.
 
     Otherwise, or if one is malformed, each is decoded on its own, so an
     error names the first bad ``field[k]``.
     """
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{field}: expected a non-empty list of matrices")
-    stack = _stack(data)
+    stack = None if any(isinstance(m, dict) for m in data) else _stack(data)
     if stack is None:
         return tuple(matrix_from_json(m, f"{field}[{k}]") for k, m in enumerate(data))
     return tuple(stack)
+
+
+_COORDINATE_KEYS = frozenset({"side", "rows", "cols", "re", "im"})
+
+
+def _from_coordinates(data: dict, field: str) -> np.ndarray:
+    """The complex matrix of a coordinate object.
+
+    Checked in this order: exactly its five keys; ``side`` a positive JSON
+    integer below 2**31, so that row * side + col fits in 64 bits; four
+    lists of one length; JSON integers in [0, side) as rows and cols; no
+    (row, col) listed twice; finite JSON numbers as re and im.
+    """
+    if set(data) != _COORDINATE_KEYS:
+        raise SchemaError(f"{field}: expected a coordinate object with exactly the keys cols, im, re, rows, side")
+    side = data["side"]
+    if not _is_int(side) or not 0 < side < 2**31:
+        raise SchemaError(f"{field}.side: expected a positive integer below 2**31")
+    lists = [data[key] for key in ("rows", "cols", "re", "im")]
+    if not all(isinstance(v, list) for v in lists) or len(set(map(len, lists))) != 1:
+        raise SchemaError(f"{field}: expected rows, cols, re and im as lists of one length")
+    rows, cols = (_numbers(data[key], (int,), np.int64) for key in ("rows", "cols"))
+    for key, index in (("rows", rows), ("cols", cols)):
+        if index is None or (index.size and not (index.min() >= 0 and index.max() < side)):
+            raise SchemaError(f"{field}.{key}: expected integers in [0, side)")
+    flat = rows * side + cols
+    ordered = np.sort(flat)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise SchemaError(f"{field}: entry {divmod(int(repeated[0]), side)} is listed twice")
+    try:
+        pairs = np.zeros((side * side, 2))
+    except MemoryError as exc:  # a few bytes of file can ask for petabytes
+        raise SchemaError(f"{field}.side: {side}**2 entries do not fit in memory") from exc
+    for k, key in enumerate(("re", "im")):
+        values = _numbers(data[key], (int, float), np.float64)
+        if values is None or not np.isfinite(values).all():
+            raise SchemaError(f"{field}.{key}: expected finite numbers")
+        pairs[flat, k] = values
+    return pairs.view(np.complex128).reshape(side, side)
+
+
+def _numbers(values: list, types: tuple[type, ...], dtype) -> Optional[np.ndarray]:
+    """``values`` as an array of ``dtype`` if each item's type is one of ``types`` (so never a bool), else None."""
+    if not set(map(type, values)) <= set(types):
+        return None
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return None
 
 
 def _stack(mats: list) -> Optional[np.ndarray]:
@@ -145,6 +233,8 @@ def operator_from_dict(data: Any, field: str = "operator") -> HermitianOperator:
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode
+# list items written together by one C-encoder pass: no text of theirs contains ", "
+_NUMBER_TYPES = (int, float)
 
 
 def dumps(obj: Any) -> str:
@@ -179,6 +269,9 @@ def _write(obj: Any, newline: str, out) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out("[]")
+            return
+        if all(type(x) in _NUMBER_TYPES for x in obj):
+            out("[" + inner + ("," + inner).join(_encode(obj)[1:-1].split(", ")) + newline + "]")
             return
         pairs = _as_pairs(obj)
         if pairs is not None:
@@ -260,11 +353,11 @@ def write_json(path: Union[str, Path], payload: dict) -> list[str]:
 def read_json(path: Union[str, Path], decode: Optional[Callable[[Any], Any]] = None) -> Any:
     """Parse the JSON file at ``path``; with ``decode``, return ``decode`` of the parsed tree.
 
-    The parse builds an acyclic tree of one list per [re, im] pair, so a
-    cyclic collection while the tree lives frees nothing and only traverses
-    it.  The collector is paused from the read until the tree is dropped,
-    after ``decode``, and the caller's setting is then restored; the text is
-    released before decoding.
+    The parse builds an acyclic tree, of one list per dense [re, im] pair,
+    so a cyclic collection while the tree lives frees nothing and only
+    traverses it.  The collector is paused from the read until the tree is
+    dropped, after ``decode``, and the caller's setting is then restored;
+    the text is released before decoding.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -45,12 +45,6 @@ class DimVector:
     def sites(self) -> int:
         return len(self.dims)
 
-    def drop(self, sites: Iterable[int]) -> "DimVector":
-        """Dimension vector after removing the given sites (trivial site if all gone)."""
-        dropped = set(sites)
-        kept = tuple(d for k, d in enumerate(self.dims) if k not in dropped)
-        return DimVector(kept if kept else (1,))
-
     def __iter__(self):
         return iter(self.dims)
 
@@ -252,34 +246,6 @@ def _normalize_sites(sites: Union[int, Iterable[int]], n_sites: int) -> tuple[in
         if not 0 <= k < n_sites:
             raise ValueError(f"site index {k} out of range for {n_sites} sites")
     return tuple(out)
-
-
-def partial_trace(
-    op: Union[HermitianOperator, np.ndarray],
-    sites: Union[int, Iterable[int]],
-    dims: Union[DimVector, Sequence[int], None] = None,
-):
-    """Trace out the given sites (0-based).
-
-    Accepts a HermitianOperator (returns one on the remaining sites) or a
-    bare square matrix plus ``dims`` (returns a bare matrix; the input need
-    not be Hermitian).  Tracing every site yields a 1x1 operator.
-    """
-    mat, dv = _matrix_and_dims(op, dims)
-    traced = _normalize_sites(sites, dv.sites)
-    if not traced:
-        return op
-    d = dv.dims
-    t = mat.reshape(*d, *d)
-    remaining = len(d)
-    for site in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=site, axis2=site + remaining)
-        remaining -= 1
-    out_dims = dv.drop(traced)
-    out = np.asarray(t).reshape(out_dims.total, out_dims.total)
-    if isinstance(op, HermitianOperator):
-        return HermitianOperator(out, out_dims)
-    return out
 
 
 def partial_transpose(

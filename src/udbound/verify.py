@@ -324,11 +324,14 @@ class NlweReport:
     bound_report: Optional[SolveReport] = None
 
     def to_dict(self) -> dict:
+        """The verdict, both values and the status of each solve; neither status key is ``status``."""
         return {
             "witnessed": self.witnessed,
             "p_global": self.p_global,
             "q_bound": self.q_bound,
             "tolerance": self.tolerance,
+            "global_status": None if self.global_report is None else self.global_report.status,
+            "bound_status": None if self.bound_report is None else self.bound_report.status,
         }
 
 

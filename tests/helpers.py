@@ -1,10 +1,11 @@
 """Shared test utilities: random instances, forged measurements, an independent two-state oracle,
-the certificate program that strong duality is checked against, and the reference decoders that
-faster code is checked against."""
+the certificate program that strong duality is checked against, a partial trace, and the reference
+encoders and decoders that faster code is checked against."""
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -206,8 +207,79 @@ def solve_global_certificate(ensemble, tol=1e-7) -> tuple[HermitianOperator, flo
     return certificate, report.value
 
 
+def partial_trace(op, sites, dims=None):
+    """Trace out the given sites (0-based) of a HermitianOperator, or of a bare square matrix on ``dims``.
+
+    A HermitianOperator gives one on the remaining sites (a trivial site if
+    none remain), a bare matrix a bare matrix, which need not be Hermitian.
+    """
+    if isinstance(op, HermitianOperator):
+        mat, d = op.matrix, op.dims.dims
+    else:
+        mat, d = np.asarray(op, dtype=np.complex128), tuple(dims)
+    traced = {sites} if isinstance(sites, int) else set(sites)
+    t = mat.reshape(*d, *d)
+    remaining = len(d)
+    for site in sorted(traced, reverse=True):
+        t = np.trace(t, axis1=site, axis2=site + remaining)
+        remaining -= 1
+    kept = tuple(dk for k, dk in enumerate(d) if k not in traced) or (1,)
+    out = np.asarray(t).reshape(math.prod(kept), math.prod(kept))
+    return HermitianOperator(out, DimVector(kept)) if isinstance(op, HermitianOperator) else out
+
+
+def _is_nonzero(x: float) -> bool:
+    """Whether the bits of the double ``x`` are not all zero: -0.0 counts, +0.0 does not."""
+    return struct.pack("<d", x) != bytes(8)
+
+
+def reference_matrix_to_json(mat):
+    """The per-cell encoder ``jsonio.matrix_to_json`` must match, as plain JSON values.
+
+    A cell is nonzero when the bits of its real or imaginary part are not all
+    zero.  A non-empty square matrix with at most half of its cells nonzero is
+    a coordinate object listing them in row-major order; any other matrix is
+    nested rows of [re, im] pairs.
+    """
+    cells = [[(float(x.real), float(x.imag)) for x in row] for row in np.asarray(mat, dtype=np.complex128)]
+    stored = [
+        (r, c, re, im)
+        for r, row in enumerate(cells)
+        for c, (re, im) in enumerate(row)
+        if _is_nonzero(re) or _is_nonzero(im)
+    ]
+    side = len(cells)
+    if side and all(len(row) == side for row in cells) and 2 * len(stored) <= side * side:
+        return {
+            "side": side,
+            "rows": [r for r, _, _, _ in stored],
+            "cols": [c for _, c, _, _ in stored],
+            "re": [re for _, _, re, _ in stored],
+            "im": [im for _, _, _, im in stored],
+        }
+    return [[list(cell) for cell in row] for row in cells]
+
+
+def dense_rendering(tree):
+    """The JSON tree with every coordinate object replaced by its nested rows of [re, im] pairs."""
+    if isinstance(tree, dict):
+        if sorted(tree) == ["cols", "im", "re", "rows", "side"]:
+            side = tree["side"]
+            rows = [[[0.0, 0.0] for _ in range(side)] for _ in range(side)]
+            for r, c, re, im in zip(tree["rows"], tree["cols"], tree["re"], tree["im"]):
+                rows[r][c] = [re, im]
+            return rows
+        return {key: dense_rendering(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [dense_rendering(item) for item in tree]
+    return tree
+
+
 def reference_matrix_from_json(data, field):
-    """The whole-tree decoder: one ``np.array`` call on the nested payload, then checks."""
+    """The entry-by-entry decoder of a coordinate object; else the whole-tree decoder of dense pairs, one
+    ``np.array`` call on the nested payload, then checks."""
+    if isinstance(data, dict):
+        return _reference_from_coordinates(data, field)
     try:
         arr = np.array(data)
     except (TypeError, ValueError):
@@ -227,3 +299,37 @@ def reference_min_eigenvalue(mat):
     if not mat.imag.any():
         mat = mat.real
     return float(np.linalg.eigvalsh(mat)[0])
+
+
+def _reference_from_coordinates(data, field):
+    """A coordinate object checked and filled one entry at a time, with ``jsonio``'s messages."""
+    if sorted(data, key=str) != ["cols", "im", "re", "rows", "side"]:
+        raise SchemaError(f"{field}: expected a coordinate object with exactly the keys cols, im, re, rows, side")
+    side = data["side"]
+    if type(side) is not int or not 0 < side < 2**31:
+        raise SchemaError(f"{field}.side: expected a positive integer below 2**31")
+    lists = [data["rows"], data["cols"], data["re"], data["im"]]
+    if not all(isinstance(v, list) for v in lists) or len({len(v) for v in lists}) != 1:
+        raise SchemaError(f"{field}: expected rows, cols, re and im as lists of one length")
+    for key in ("rows", "cols"):
+        if not all(type(i) is int and 0 <= i < side for i in data[key]):
+            raise SchemaError(f"{field}.{key}: expected integers in [0, side)")
+    cells = list(zip(data["rows"], data["cols"]))
+    seen, repeated = set(), []
+    for cell in cells:
+        if cell in seen:
+            repeated.append(cell)
+        seen.add(cell)
+    if repeated:
+        raise SchemaError(f"{field}: entry {min(repeated)} is listed twice")
+    pairs = np.zeros((side, side, 2))
+    for part, key in enumerate(("re", "im")):
+        for (r, c), x in zip(cells, data[key]):
+            try:
+                value = float(x) if type(x) in (int, float) else math.nan
+            except OverflowError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise SchemaError(f"{field}.{key}: expected finite numbers")
+            pairs[r, c, part] = value
+    return pairs.view(np.complex128).reshape(side, side)

@@ -20,7 +20,6 @@ from udbound import (
     check_no_error,
     example_cone_generators,
     nlwe_witness,
-    partial_trace,
     partial_transpose,
     solve_global,
     solve_separable_bound,
@@ -28,7 +27,14 @@ from udbound import (
     verify_optimality,
     verify_separable_certificate,
 )
-from helpers import idp_oracle, random_ensemble, random_psd, random_state_vector, solve_global_certificate
+from helpers import (
+    idp_oracle,
+    partial_trace,
+    random_ensemble,
+    random_psd,
+    random_state_vector,
+    solve_global_certificate,
+)
 
 
 def _report(num: int, description: str, ok: bool) -> None:

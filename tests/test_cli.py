@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -266,6 +267,20 @@ class TestVerifyCommand:
         assert "WARNING: global solve stopped short of optimal (max_iterations)" in captured.err
 
     @pytest.mark.parametrize(
+        "max_iter, statuses, code",
+        [("2", ("max_iterations", "max_iterations"), 3), ("200000", ("optimal", "optimal"), 0)],
+    )
+    def test_nlwe_report_carries_both_statuses(self, example1_files, capsys, max_iter, statuses, code):
+        # after two iterations p_global reads 1.3846, above any probability: the statuses say why
+        argv = ["verify", "nlwe", "--ensemble", str(example1_files["ensemble"]), "--cones", str(example1_files["cones"])]
+        assert main([*argv, "--max-iter", max_iter, "--format", "json"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["global_status"], payload["bound_status"]) == statuses
+        assert "status" not in payload
+        if max_iter == "2":
+            assert payload["p_global"] > 1
+
+    @pytest.mark.parametrize(
         "kind, forge", [("thm3", forged_global_as_separable), ("cor3", forged_global_as_protocol)]
     )
     def test_forged_product_structure_is_input_error(self, example1_files, tmp_path, capsys, kind, forge):
@@ -411,6 +426,23 @@ class TestTableCommand:
         assert main(["table", "--d-min", "3", "--d-max", "3", "--max-iter", "1", "--out", str(out)]) == 3
         assert out.read_text().splitlines()[1] == "3,9,0,0,false"
         assert "WARNING d=3: global solve stopped short of optimal (max_iterations)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["p_global", "q_bound"])
+    def test_relative_deviation_warns(self, tmp_path, capsys, monkeypatch, which):
+        # 2e-5 relative is 8e-6 (p = 0.4) or 4e-6 (q = 0.2) absolute: under the old 1e-5 absolute gate
+        solve = cli.nlwe_witness
+
+        def nudged(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            return dataclasses.replace(result, **{which: getattr(result, which) * (1 + 2e-5)})
+
+        monkeypatch.setattr(cli, "nlwe_witness", nudged)
+        out = tmp_path / "table.csv"
+        assert main(["table", "--d-min", "3", "--d-max", "3", "--out", str(out)]) == 0
+        assert "WARNING d=3: solver values" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "nlwe_witness", solve)
+        assert main(["table", "--d-min", "3", "--d-max", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_stdout_holds_the_bytes_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

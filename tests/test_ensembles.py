@@ -15,13 +15,13 @@ from udbound import (
     identity,
     load_ensemble,
     load_measurement,
-    partial_trace,
     save_ensemble,
     save_measurement,
     validate_ensemble,
 )
 from udbound.ensembles import ensemble_from_dict, ensemble_to_dict, measurement_from_dict, measurement_to_dict
 from udbound.operators import PSD_TOL
+from helpers import partial_trace
 
 
 class TestValidation:
@@ -218,12 +218,22 @@ class TestJsonRoundTrip:
         from udbound.ensembles import ensemble_to_dict
         from udbound.jsonio import write_json
 
+        # entry (0, 1) breaks symmetry with entry (1, 0), in either matrix form; |00><00| is written as coordinates
         payload = ensemble_to_dict(ensemble)
-        payload["states"][0]["matrix"][0][1] = [0.5, 0.0]  # breaks symmetry with entry (1,0)
+        coordinates = payload["states"][0]["matrix"]
+        coordinates["rows"].append(0)
+        coordinates["cols"].append(1)
+        coordinates["re"].append(0.5)
+        coordinates["im"].append(0.0)
+        dense = ensemble_to_dict(ensemble)
+        dense["states"][0]["matrix"] = [[[0.0, 0.0]] * 4 for _ in range(4)]
+        dense["states"][0]["matrix"][0][0] = [1.0, 0.0]
+        dense["states"][0]["matrix"][0][1] = [0.5, 0.0]
         path = tmp_path / "bad.json"
-        write_json(path, payload)
-        with pytest.raises(SchemaError, match="hermiticity deviation"):
-            load_ensemble(path)
+        for bad in (payload, dense):
+            write_json(path, bad)
+            with pytest.raises(SchemaError, match="hermiticity deviation"):
+                load_ensemble(path)
 
     def test_schema_error_names_field(self, tmp_path):
         from udbound.jsonio import write_json

@@ -27,6 +27,10 @@ from udbound import (
     load_cones,
     load_ensemble,
     load_measurement,
+    save_certificate,
+    save_cones,
+    save_ensemble,
+    save_measurement,
     solve_global,
     solve_separable_bound,
     validate_ensemble,
@@ -34,13 +38,51 @@ from udbound import (
     verify_separable_certificate,
 )
 from udbound.cli import main
-from udbound.jsonio import dumps, matrices_from_json, matrix_from_json, matrix_to_json, read_json, write_json
-from helpers import random_ensemble, reference_matrix_from_json
+from udbound.ensembles import ensemble_to_dict, measurement_from_dict, measurement_to_dict
+from udbound.jsonio import (
+    dumps,
+    matrices_from_json,
+    matrix_from_json,
+    matrix_to_json,
+    operator_from_dict,
+    read_json,
+    write_json,
+)
+from helpers import dense_rendering, random_ensemble, reference_matrix_from_json, reference_matrix_to_json
 
 # sha256 of the files written by `udbound example1` and `udbound example2 --d 3|4`.
 # The fixtures are closed forms (outer and Kronecker products of exact
 # vectors), so these bytes do not depend on the BLAS/LAPACK build.
 WRITTEN_SHA256 = {
+    "example1": {
+        "example1_certificate_global.json": "1cef6d2560f2840bf063befc9c3a2358833d9de1121c2e02125ab13144dcd748",
+        "example1_certificate_sep.json": "4eab8b27bdaf0e1c6b3eecd5bb1e2383d08283d5eb2b4f51e8eb7521fd180639",
+        "example1_cones.json": "aa421c00b2fc6ce72617eebc9ef2893c0c1d57aa1dbc7e763989ec303da9d645",
+        "example1_ensemble.json": "e1fa73508a62cb50852f42a9263bbf5a3066b0a5d3bc31b6102c1ea9fdcc2b2f",
+        "example1_measurement_global.json": "934f00c440334be8b97ae8fe7d240bb8e8a9d3ac840e08e9030e7f86ac392b57",
+        "example1_measurement_locc.json": "0ece54016a7db91b15f9750452fe217039bbc6768891ce305d133a30f29ae3f6",
+    },
+    "example2_d3": {
+        "example2_d3_certificate_global.json": "cec1b69ddc16f7ed5b542b11395b7b84ad4d151bcff7214b760eea105139782b",
+        "example2_d3_certificate_sep.json": "be827509918ff76155a316106e6d75e84196efb3c623f5ab403cedd7c65fa11d",
+        "example2_d3_cones.json": "d8fdf86e29ca0547ad5ddead40c34a4a09f116a8e8b46fe2ce501cc8a5eb2f5e",
+        "example2_d3_ensemble.json": "0e5834d1a86e27ce3a91531f3ff8a5dde6c61c6ea4ce66f1d785838c7ebcb2eb",
+        "example2_d3_measurement_global.json": "b2dd66341bee2db80ef33ecdbd2d6983577b5cca107deba36b934f438160085c",
+        "example2_d3_measurement_locc.json": "3a5f70e82acd589c67ddb14dc9de632c5a099549201d60000e735f3cbec3f3db",
+    },
+    "example2_d4": {
+        "example2_d4_certificate_global.json": "7f9ca19084c7d6af00e795ff5dff06b7d68ff04650e9319b3a7cd2ba6654a1cf",
+        "example2_d4_certificate_sep.json": "9bdbbd29d859c1189de62982e75bdcd3297682631edcc318bdf413d2528e63e2",
+        "example2_d4_cones.json": "205e6013b53555f283425cf715b37697dd5e712f061105f618ccf1b0dea32706",
+        "example2_d4_ensemble.json": "93b6a18cc4020f58dabd8aa2491d91bf2e82b86b6c457ccd44600cf8ce223ae4",
+        "example2_d4_measurement_global.json": "63b537781b7f27440afecb9dca620b114f8d3da89d048840333d7e8c1801bc1d",
+        "example2_d4_measurement_locc.json": "73ab05d05d2ebb3bb2325cc9ab982dfe682f772520f2d9da92c950d6cfb90aa2",
+    },
+}
+
+# sha256 of the same files written densely, every matrix as nested rows of [re, im] pairs, as they were
+# written before the coordinate form: each written file, re-rendered dense, must still hash to these.
+DENSE_SHA256 = {
     "example1": {
         "example1_certificate_global.json": "666a516171ad5ecdb97e1426940e14a76e6fc7c3e5ea20452d3b7317140badbd",
         "example1_certificate_sep.json": "1ffc2d7c18ec825e1303fd332a4fb1991f0e657d0b2bc4dbabc2257872d9c439",
@@ -67,6 +109,14 @@ WRITTEN_SHA256 = {
     },
 }
 
+# each example file's loader and writer, by the kind its name ends with
+FORMATS = {
+    "ensemble": (load_ensemble, save_ensemble),
+    "measurement": (load_measurement, save_measurement),
+    "certificate": (load_certificate, save_certificate),
+    "cones": (load_cones, save_cones),
+}
+
 EXAMPLE_ARGS = {
     "example1": ["example1"],
     "example2_d3": ["example2", "--d", "3"],
@@ -82,6 +132,29 @@ class TestWrittenBytes:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.json")
         }
         assert written == WRITTEN_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(DENSE_SHA256))
+    def test_dense_rendering_matches_the_dense_pins(self, name, tmp_path):
+        # no written number moved: each file, with its coordinate objects expanded, is the dense file
+        assert main([*EXAMPLE_ARGS[name], "--out", str(tmp_path)]) == 0
+        rendered = {}
+        for path in tmp_path.glob("*.json"):
+            text = json.dumps(dense_rendering(json.loads(path.read_text(encoding="utf-8"))), indent=2, sort_keys=True)
+            rendered[path.name] = hashlib.sha256((text + "\n").encode()).hexdigest()
+        assert rendered == DENSE_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(DENSE_SHA256))
+    def test_dense_files_load_to_the_same_objects(self, name, tmp_path):
+        # the dense re-renderings are the files written before the coordinate form: they still load, bit for bit
+        assert main([*EXAMPLE_ARGS[name], "--out", str(tmp_path)]) == 0
+        for path in sorted(tmp_path.glob("*.json")):
+            kind = path.stem.split("_")[-2 if path.stem.endswith(("global", "locc", "sep")) else -1]
+            load, save = FORMATS[kind]
+            dense = tmp_path / "dense" / path.name
+            dense.parent.mkdir(exist_ok=True)
+            write_json(dense, dense_rendering(json.loads(path.read_text(encoding="utf-8"))))
+            save(load(dense), tmp_path / "dense" / "again.json")
+            assert (tmp_path / "dense" / "again.json").read_bytes() == path.read_bytes()
 
     def test_json_stdout_is_the_written_report(self, tmp_path, capsys):
         assert main(["example1", "--out", str(tmp_path)]) == 0
@@ -140,6 +213,20 @@ def listify(tree):
     return tree
 
 
+def reencode(tree):
+    """The payload with every matrix, an array leaf or a coordinate object, re-encoded by the per-cell
+    reference, which applies the writer's rule on its own."""
+    if isinstance(tree, np.ndarray):
+        return reference_matrix_to_json(np.ascontiguousarray(tree).view(np.complex128)[..., 0])
+    if isinstance(tree, dict):
+        if sorted(tree) == ["cols", "im", "re", "rows", "side"]:
+            return reference_matrix_to_json(reference_matrix_from_json(tree, "m"))
+        return {key: reencode(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [reencode(item) for item in tree]
+    return tree
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1.79e308, -1.79e308]
 PARTS = st.one_of(st.sampled_from([*EDGE, math.nan, math.inf, -math.inf]), st.floats(width=64))
@@ -163,11 +250,16 @@ def matrix_leaves(draw):
         return matrix_to_json(np.asfortranarray(mat))
     if layout == "strided":
         return matrix_to_json(np.repeat(np.repeat(mat, 2, axis=0), 3, axis=1)[::2, ::3])
-    if layout == "raw F":  # array leaves that did not come from matrix_to_json
-        return np.asfortranarray(matrix_to_json(mat))
+    if layout == "raw F":  # dense array leaves that did not come from matrix_to_json
+        return np.asfortranarray(_pairs(mat))
     if layout == "raw strided":
-        return np.repeat(matrix_to_json(mat), 2, axis=1)[:, ::2]
+        return np.repeat(_pairs(mat), 2, axis=1)[:, ::2]
     return matrix_to_json(mat)
+
+
+def _pairs(mat):
+    """The float64 (r, c, 2) array of [re, im] pairs: the dense form, whatever the writer's rule picks."""
+    return np.stack((mat.real, mat.imag), axis=-1)
 
 
 # matrices as dict values, in lists (site POVMs) and in lists of lists (decomposition terms)
@@ -299,7 +391,7 @@ class TestReader:
         path = example1_dir / name
         bad_matrix = example1_dir / "bad_matrix.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
-        _first_matrix(payload)[0][0] = ["x", 0.0]
+        _first_matrix(payload)["matrix"] = [[["x", 0.0]]]
         bad_matrix.write_text(json.dumps(payload), encoding="utf-8")
         bad_json = example1_dir / "bad.json"
         bad_json.write_text("{not json", encoding="utf-8")
@@ -324,10 +416,10 @@ def example2_d4_dir(tmp_path_factory):
 
 
 def _first_matrix(payload):
-    """The first "matrix" value met in a depth-first walk of a file payload."""
+    """The object holding the first "matrix" key met in a depth-first walk of a file payload."""
     if isinstance(payload, dict):
         if "matrix" in payload:
-            return payload["matrix"]
+            return payload
         payload = list(payload.values())
     for item in payload if isinstance(payload, list) else ():
         found = _first_matrix(item)
@@ -398,7 +490,7 @@ def _solver_case(name):
 @pytest.mark.parametrize("kind", ["global", "sep-bound"])
 @pytest.mark.parametrize("name", ["example1", "example2_d3", "random_3_qubit"])
 def test_solver_reports_match_json_dumps(name, kind, tmp_path):
-    """Solver outputs are dense, with -0.0 and tiny entries; the sha256 pins cover only sparse fixtures."""
+    """Solver outputs carry -0.0 and tiny entries, in both matrix forms; the sha256 pins cover only fixtures."""
     ensemble, cones = _solver_case(name)
     if kind == "global":
         report = solve_global(ensemble, tol=1e-8, seed=0)
@@ -407,7 +499,7 @@ def test_solver_reports_match_json_dumps(name, kind, tmp_path):
     payload = report.to_dict()
     parts = write_json(tmp_path / "report.json", payload)
     text = (tmp_path / "report.json").read_text(encoding="utf-8")
-    assert text == "".join(parts) == json.dumps(listify(payload), indent=2, sort_keys=True) + "\n"
+    assert text == "".join(parts) == json.dumps(reencode(payload), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +517,13 @@ def _bits(mat):
     return np.ascontiguousarray(mat).view(np.uint64)
 
 
-def _reference_to_json(mat):
-    """The per-cell encoder the vectorised one must match byte for byte."""
-    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
-
-
 class TestCodecProperties:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(complex_matrices())
     @example(np.array([[complex(a, b) for b in EDGE] for a in EDGE], dtype=np.complex128))
     def test_round_trip_is_bit_exact(self, mat):
-        text = json.dumps(matrix_to_json(mat).tolist())
-        assert text == json.dumps(_reference_to_json(mat))
+        text = json.dumps(listify(matrix_to_json(mat)))
+        assert text == json.dumps(reference_matrix_to_json(mat))
         back = matrix_from_json(json.loads(text), "m")
         assert back.shape == mat.shape
         assert np.array_equal(_bits(back), _bits(mat))
@@ -456,7 +543,7 @@ class TestCodecProperties:
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(complex_matrices(), st.sampled_from(sorted(BAD_CELLS)), st.data())
     def test_malformed_entries_are_schema_errors(self, mat, kind, data):
-        payload = matrix_to_json(mat).tolist()
+        payload = _pairs(mat).tolist()
         side = len(payload)
         r = data.draw(st.integers(0, side - 1))
         c = data.draw(st.integers(0, side - 1))
@@ -467,7 +554,7 @@ class TestCodecProperties:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(complex_matrices(), st.data())
     def test_ragged_and_non_square_rows_are_schema_errors(self, mat, data):
-        payload = matrix_to_json(mat).tolist()
+        payload = _pairs(mat).tolist()
         r = data.draw(st.integers(0, len(payload) - 1))
         if data.draw(st.booleans()):
             payload[r].pop()
@@ -480,6 +567,197 @@ class TestCodecProperties:
     def test_non_matrix_values_are_schema_errors(self, data):
         with pytest.raises(SchemaError):
             matrix_from_json(data, "m")
+
+
+# ---------------------------------------------------------------------------
+# the coordinate form
+
+SPARSE_PARTS = st.one_of(st.sampled_from(EDGE), FINITE)
+
+
+@st.composite
+def filled_matrices(draw, max_side=6):
+    """Square matrices with no, one, some or every cell drawn; parts include -0.0, subnormals and +-1.79e308."""
+    side = draw(st.integers(1, max_side))
+    cells = side * side
+    fill = draw(st.sampled_from(["zero", "one", "mixed", "dense"]))
+    if fill == "zero":
+        drawn = []
+    elif fill == "one":
+        drawn = [draw(st.integers(0, cells - 1))]
+    elif fill == "mixed":
+        drawn = draw(st.sets(st.integers(0, cells - 1), max_size=cells))
+    else:
+        drawn = range(cells)
+    pairs = np.zeros((cells, 2))
+    for k in drawn:
+        pairs[k] = draw(st.tuples(SPARSE_PARTS, SPARSE_PARTS))
+    return pairs.view(np.complex128).reshape(side, side)
+
+
+def _one_entry(side, row, col, value):
+    mat = np.zeros((side, side), dtype=np.complex128)
+    mat[row, col] = value
+    return mat
+
+
+def _coordinates(mat):
+    """Every cell of ``mat`` whose bits are not all zero as a coordinate object, whatever the writer's rule picks."""
+    rows, cols = np.nonzero(_pairs(mat).view(np.uint64).any(axis=-1))
+    cells = mat[rows, cols]
+    return {
+        "side": len(mat),
+        "rows": rows.tolist(),
+        "cols": cols.tolist(),
+        "re": cells.real.tolist(),
+        "im": cells.imag.tolist(),
+    }
+
+
+def _bad(change):
+    """A valid 3x3 coordinate object with two entries, then ``change`` applied to it."""
+    data = {"side": 3, "rows": [0, 2], "cols": [1, 2], "re": [0.5, -0.0], "im": [-0.25, 1e-300]}
+    change(data)
+    return data
+
+
+class TestCoordinateForm:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(filled_matrices())
+    @example(np.zeros((3, 3), dtype=np.complex128))
+    @example(_one_entry(4, 1, 2, complex(-0.0, 0.0)))
+    @example(_one_entry(4, 3, 0, complex(0.0, -0.0)))
+    @example(_one_entry(2, 0, 1, complex(5e-324, -5e-324)))
+    @example(_one_entry(3, 2, 2, complex(1.79e308, -1.79e308)))
+    @example(np.full((2, 2), complex(-0.0, -0.0)))
+    def test_written_form_is_the_rules_and_round_trips_bit_exact(self, mat):
+        text = dumps(matrix_to_json(mat))
+        assert text == json.dumps(reference_matrix_to_json(mat), indent=2, sort_keys=True)
+        back = matrix_from_json(json.loads(text), "m")
+        assert back.shape == mat.shape
+        assert np.array_equal(_bits(back), _bits(mat))
+
+    @pytest.mark.parametrize(
+        "nonzero, shape, form",
+        [
+            (0, (4, 4), dict),
+            (8, (4, 4), dict),  # 2 * 8 <= 16
+            (9, (4, 4), np.ndarray),
+            (4, (3, 3), dict),  # 2 * 4 <= 9
+            (5, (3, 3), np.ndarray),
+            (1, (1, 1), np.ndarray),
+            (0, (1, 1), dict),
+            (0, (2, 3), np.ndarray),  # not square
+            (0, (0, 0), np.ndarray),  # empty
+        ],
+    )
+    @pytest.mark.parametrize("entry", [complex(1.0, 0.0), complex(-0.0, 0.0), complex(0.0, 1.0), complex(0.0, -0.0)])
+    def test_the_rule_at_its_boundary(self, nonzero, shape, form, entry):
+        flat = np.zeros(shape[0] * shape[1], dtype=np.complex128)
+        flat[:nonzero] = entry
+        written = matrix_to_json(flat.reshape(shape))
+        assert isinstance(written, form)
+        if shape[0]:
+            assert listify(written) == reference_matrix_to_json(flat.reshape(shape))
+
+    def test_read_back_report_rewrites_byte_identically(self, tmp_path):
+        ensemble, _ = build_example2(3)
+        payload = solve_global(ensemble, tol=1e-8, seed=0).to_dict()
+        forms = {type(m) for m in [payload["dual_certificate"]["matrix"]] + [
+            el["matrix"] for el in payload["measurement"]["elements"]
+        ]}
+        assert forms == {dict, np.ndarray}  # both forms are read back and rewritten
+        write_json(tmp_path / "report.json", payload)
+        read = read_json(tmp_path / "report.json")
+        write_json(tmp_path / "again.json", read)
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+        # the measurement and certificate split out of a read-back report are the files written directly
+        for key in ("measurement", "dual_certificate"):
+            write_json(tmp_path / "direct.json", payload[key])
+            write_json(tmp_path / "extracted.json", read[key])
+            assert (tmp_path / "extracted.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+
+    BAD = {
+        "missing key": (lambda d: d.pop("im"), r"^m: expected a coordinate object with exactly the keys"),
+        "extra key": (lambda d: d.update(dense=False), r"^m: expected a coordinate object with exactly the keys"),
+        "side 0": (lambda d: d.update(side=0), r"^m\.side: expected a positive integer"),
+        "negative side": (lambda d: d.update(side=-3), r"^m\.side: expected a positive integer"),
+        "bool side": (lambda d: d.update(side=True), r"^m\.side: expected a positive integer"),
+        "float side": (lambda d: d.update(side=3.0), r"^m\.side: expected a positive integer"),
+        "side 2**31": (lambda d: d.update(side=2**31), r"^m\.side: expected a positive integer below 2\*\*31"),
+        "unequal lengths": (lambda d: d["re"].append(0.0), r"^m: expected rows, cols, re and im as lists of one"),
+        "not a list": (lambda d: d.update(cols=1), r"^m: expected rows, cols, re and im as lists of one"),
+        "bool index": (lambda d: d["rows"].__setitem__(0, True), r"^m\.rows: expected integers in \[0, side\)"),
+        "float index": (lambda d: d["cols"].__setitem__(1, 2.0), r"^m\.cols: expected integers in \[0, side\)"),
+        "index = side": (lambda d: d["cols"].__setitem__(0, 3), r"^m\.cols: expected integers in \[0, side\)"),
+        "negative index": (lambda d: d["rows"].__setitem__(1, -1), r"^m\.rows: expected integers in \[0, side\)"),
+        "huge index": (lambda d: d["rows"].__setitem__(1, 2**64), r"^m\.rows: expected integers in \[0, side\)"),
+        "duplicate entry": (
+            lambda d: [d[k].append(d[k][0]) for k in ("rows", "cols", "re", "im")],
+            r"^m: entry \(0, 1\) is listed twice$",
+        ),
+        "nan": (lambda d: d["re"].__setitem__(0, math.nan), r"^m\.re: expected finite numbers$"),
+        "inf": (lambda d: d["im"].__setitem__(1, math.inf), r"^m\.im: expected finite numbers$"),
+        "-inf": (lambda d: d["re"].__setitem__(1, -math.inf), r"^m\.re: expected finite numbers$"),
+        "overflowing int": (lambda d: d["im"].__setitem__(0, 10**400), r"^m\.im: expected finite numbers$"),
+        "bool value": (lambda d: d["re"].__setitem__(0, False), r"^m\.re: expected finite numbers$"),
+        "string value": (lambda d: d["im"].__setitem__(0, "1"), r"^m\.im: expected finite numbers$"),
+    }
+
+    def test_the_unchanged_object_decodes(self):
+        expected = np.zeros((3, 3), dtype=np.complex128)
+        expected[0, 1], expected[2, 2] = complex(0.5, -0.25), complex(-0.0, 1e-300)
+        assert np.array_equal(_bits(matrix_from_json(_bad(lambda d: None), "m")), _bits(expected))
+
+    @pytest.mark.parametrize("rule", sorted(BAD))
+    def test_each_rule_is_a_schema_error(self, rule):
+        change, message = self.BAD[rule]
+        with pytest.raises(SchemaError, match=message):
+            matrix_from_json(_bad(change), "m")
+        with pytest.raises(SchemaError, match=message.replace("^m", r"^f\[1\]")):
+            matrices_from_json([np.zeros((3, 3, 2)).tolist(), _bad(change)], "f")
+
+    def test_a_side_too_large_to_allocate_is_a_schema_error(self, tmp_path):
+        # 2**48 entries are 4 PiB, past any address space, so the allocation fails at once
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [16777216], "matrix": {"side": 16777216, "rows": [], "cols": [], "re": [], "im": []}}')
+        with pytest.raises(SchemaError, match=r"matrix\.side: 16777216\*\*2 entries do not fit in memory"):
+            load_certificate(path)
+
+    def test_a_file_error_names_the_field(self, tmp_path):
+        ensemble, _ = build_example1()
+        payload = ensemble_to_dict(ensemble)
+        payload["states"][0]["matrix"] = _bad(lambda d: d.update(side=4, cols=[1, 4]))
+        write_json(tmp_path / "bad.json", payload)
+        with pytest.raises(SchemaError, match=r"states\[0\]\.matrix\.cols: expected integers in \[0, side\)"):
+            load_ensemble(tmp_path / "bad.json")
+        assert main(["solve", "global", "--ensemble", str(tmp_path / "bad.json")]) == 2
+
+    def test_hermiticity_is_checked_after_the_coordinate_rules(self):
+        data = {"dims": [2], "matrix": _bad(lambda d: d.update(side=2, rows=[0, 1], cols=[1, 1]))}
+        with pytest.raises(SchemaError, match=r"operator\.matrix: .*hermiticity deviation"):
+            operator_from_dict(data)
+
+    @pytest.mark.parametrize("where", ["site_povms", "terms"])
+    def test_a_list_mixing_both_forms_decodes(self, where):
+        _, fixtures = build_example1()
+        measurement = fixtures.locc_measurement
+        payload = listify(measurement_to_dict(measurement))
+        if where == "site_povms":
+            mats = payload["locc_protocol"]["site_povms"][0]
+            originals = measurement.locc_protocol.site_povms[0]
+        else:
+            mats = payload["elements"][1]["decomposition"]["terms"][0]
+            originals = measurement.decompositions[1].terms[0]
+        assert len(mats) >= 2
+        for k, mat in enumerate(originals):
+            mats[k] = _coordinates(mat) if k % 2 else _pairs(mat).tolist()
+        assert {type(m) for m in mats} == {dict, list}
+        back = measurement_from_dict(json.loads(json.dumps(payload)))
+        decoded = back.locc_protocol.site_povms[0] if where == "site_povms" else back.decompositions[1].terms[0]
+        assert len(decoded) == len(originals)
+        for got, want in zip(decoded, originals):
+            assert np.array_equal(_bits(got), _bits(np.asarray(want, dtype=np.complex128)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +815,45 @@ def json_matrices(draw, side=None):
     return rows
 
 
+# values put in place of a coordinate key, list item or extra key
+COORDINATE_BAD = [*BAD_LEAVES, True, 0.0, -1, 0, 1, 3, 2**31, [], [0], {}]
+
+
+@st.composite
+def coordinate_payloads(draw, side=None):
+    """Coordinate objects, maybe with a repeated cell, with up to two corruptions; mostly one item's."""
+    side = side or draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+    cells = draw(st.lists(cell, unique=True, max_size=side * side))
+    if cells and draw(st.integers(0, 4)) == 0:
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(cells)))
+    numbers = draw(st.sampled_from([*NUMBER_KINDS, st.one_of(*NUMBER_KINDS)]))
+    data = {
+        "side": side,
+        "rows": [r for r, _ in cells],
+        "cols": [c for _, c in cells],
+        "re": [draw(numbers) for _ in cells],
+        "im": [draw(numbers) for _ in cells],
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        # mostly one item's value, so that every check is reached often; hypothesis favours the first choice
+        key = draw(st.sampled_from(["rows", "cols", "re", "im", "side", "extra"]))
+        how = draw(st.sampled_from(["item", "replace", "append", "drop"]))
+        bad = draw(st.sampled_from(COORDINATE_BAD))
+        if key == "extra":
+            data[key] = bad
+        elif how == "drop":
+            data.pop(key, None)
+        elif how == "replace":
+            data[key] = bad
+        elif isinstance(data.get(key), list):
+            if how == "item" and data[key]:
+                data[key][draw(st.integers(0, len(data[key]) - 1))] = bad
+            else:
+                data[key].append(bad)
+    return data
+
+
 # values that are no matrix, and in-memory arrays, which take the one-call path
 OTHER_PAYLOADS = st.sampled_from(
     [
@@ -560,15 +877,20 @@ OTHER_PAYLOADS = st.sampled_from(
         np.array(None),
     ]
 )
-PAYLOADS = st.one_of(json_matrices(), OTHER_PAYLOADS, complex_matrices(max_side=3).map(matrix_to_json))
+PAYLOADS = st.one_of(
+    json_matrices(), coordinate_payloads(), OTHER_PAYLOADS, complex_matrices(max_side=3).map(matrix_to_json)
+)
 
 
 @st.composite
 def matrix_lists(draw):
-    """One to three payloads, of one side or of several."""
+    """One to three payloads, of one side, dense or mixed with coordinate objects, or of several."""
     if draw(st.booleans()):
         side = draw(st.integers(1, 3))
-        return draw(st.lists(json_matrices(side=side), min_size=1, max_size=3))
+        forms = [json_matrices(side=side)]
+        if draw(st.booleans()):
+            forms.append(coordinate_payloads(side=side))
+        return draw(st.lists(st.one_of(*forms), min_size=1, max_size=3))
     return draw(st.lists(PAYLOADS, min_size=1, max_size=3))
 
 
@@ -583,7 +905,8 @@ def _outcome(decode):
 
 
 class TestDecodeEquivalence:
-    """The flat decoder accepts, rejects, returns and reports as one ``np.array`` of the whole payload does."""
+    """The decoders accept, reject, return and report as the reference does: one ``np.array`` of the whole
+    payload for dense pairs, one entry at a time for a coordinate object."""
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(PAYLOADS)
@@ -601,6 +924,11 @@ class TestDecodeEquivalence:
     @example([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]])
     @example([[[1.0], [0.0, 0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])  # the right count of numbers, misplaced
     @example([[[[1.0], [0.0]]]])  # one pair of lists
+    @example({"side": 2, "rows": [1, 0, 1], "cols": [0, 1, 0], "re": [1.0, 2.0, 3.0], "im": [0, 0, 0]})
+    @example({"side": 2, "rows": [2**63], "cols": [0], "re": [1.0], "im": [0.0]})
+    @example({"side": 1, "rows": [0], "cols": [0], "re": [10**400], "im": [0.0]})
+    @example({"side": 1, "rows": [0], "cols": [0], "re": [1.0], "im": [True]})
+    @example({"side": 3, "rows": [], "cols": [], "re": [], "im": []})
     def test_matrix_from_json(self, data):
         expected = _outcome(lambda: reference_matrix_from_json(data, "m"))
         assert _outcome(lambda: matrix_from_json(data, "m")) == expected
@@ -609,6 +937,7 @@ class TestDecodeEquivalence:
     @given(matrix_lists())
     @example([[[[1.0, 0.0]]], [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])
     @example([[[[1.0, 0.0]]], [[["x", 0.0]]], [[[None, 0.0]]]])
+    @example([[[[1.0, 0.0]]], {"side": 1, "rows": [0], "cols": [0], "re": [-0.0], "im": [2]}, [[[0.0, 1.0]]]])
     def test_matrices_from_json(self, data):
         expected = _outcome(lambda: tuple(reference_matrix_from_json(m, f"f[{k}]") for k, m in enumerate(data)))
         assert _outcome(lambda: matrices_from_json(data, "f")) == expected
@@ -674,11 +1003,15 @@ class TestNonFiniteInputs:
     )
     def test_overflowing_matrix_entry(self, example1_dir, name, matrix, capsys):
         def overflow(p):
-            matrix(p)[0][0][0] = 10**400
+            if isinstance(matrix(p), dict):
+                matrix(p)["re"][0] = 10**400
+            else:
+                matrix(p)[0][0][0] = 10**400
 
         _rewrite(example1_dir / name, overflow)
         assert _verify("prop1", example1_dir) == 2
-        assert "finite [re, im] pairs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite [re, im] pairs" in err or "matrix.re: expected finite numbers" in err
 
     def test_nan_factor_fails_the_separability_precheck(self):
         ensemble, fixtures = build_example1()

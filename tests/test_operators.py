@@ -19,11 +19,10 @@ from udbound import (
     hs_inner,
     identity,
     min_eigenvalue,
-    partial_trace,
     tensor,
 )
 from udbound.operators import kron_sum, min_eigenvalues, nan_max, psd_part
-from helpers import random_hermitian, random_psd, reference_min_eigenvalue
+from helpers import partial_trace, random_hermitian, random_psd, reference_min_eigenvalue
 
 SQ3 = math.sqrt(3.0)
 
