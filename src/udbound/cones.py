@@ -94,11 +94,62 @@ class ConeGenerators:
 
 
 def split_support(psd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns) of the range and kernel of a PSD matrix, split at ``RANK_TOL``; real for real data."""
-    ((_, (herm,)),) = _by_arithmetic(((psd + psd.conj().T) / 2)[None])
-    vals, vecs = np.linalg.eigh(herm)
+    """Orthonormal bases (columns) of the range and kernel of a PSD matrix, split at ``RANK_TOL``; real for real data.
+
+    The Hermitian part is decomposed per connected component of its exact
+    nonzero pattern, so each column is supported inside one component and
+    the bases keep the matrix's zeros; a matrix with no zero entry, or one
+    component, takes one ``eigh``.
+    """
+    herm = (psd + psd.conj().T) / 2
+    nonzero = herm != 0
+    labels = None if nonzero.all() else _components(nonzero)
+    if labels is None or not labels.any():
+        ((_, (herm,)),) = _by_arithmetic(herm[None])
+        vals, vecs = np.linalg.eigh(herm)
+    else:
+        vals, vecs = _eigh_by_component(herm, labels)
     keep = vals > RANK_TOL
     return vecs[:, keep], vecs[:, ~keep]
+
+
+def _components(nonzero: np.ndarray) -> np.ndarray:
+    """Per index of a symmetric (n, n) pattern, the smallest index of its connected component.
+
+    Min-label propagation over the pattern's entries, with pointer jumping;
+    the pattern's diagonal is set in place.
+    """
+    np.fill_diagonal(nonzero, True)  # every row then has an entry, so reduceat sees each
+    rows, cols = np.nonzero(nonzero)
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    labels = np.arange(len(nonzero))
+    while True:
+        lower = np.minimum.reduceat(labels[cols], starts)
+        lower = lower[lower]
+        if np.array_equal(lower, labels):
+            return labels
+        labels = lower
+
+
+def _eigh_by_component(herm: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and full-space eigenvectors of a Hermitian matrix from one batched ``eigh`` per component side.
+
+    Components come in the order of their smallest index, each with its
+    eigenpairs in ascending order; a component with no imaginary entry is
+    decomposed in real arithmetic.
+    """
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    side = len(herm)
+    vals = np.empty(side)
+    vecs = np.zeros((side, side), dtype=complex if herm.imag.any() else float)
+    for size in np.unique(sizes):
+        first = starts[sizes == size]
+        members = order[first[:, None] + np.arange(size)]
+        for rows, stack in _by_arithmetic(herm[members[:, :, None], members[:, None, :]]):
+            cols = first[rows][:, None] + np.arange(size)
+            vals[cols], vecs[members[rows][:, :, None], cols[:, None, :]] = np.linalg.eigh(stack)
+    return vals, vecs
 
 
 def no_error_subspaces(ensemble: Ensemble):

@@ -23,7 +23,7 @@ from .jsonio import (
     SchemaError,
     _is_int,
     dims_from_json,
-    matrices_from_json,
+    matrix_groups_from_json,
     matrix_to_json,
     operator_from_json,
     read_json,
@@ -81,12 +81,19 @@ class Ensemble:
 
 
 def _frozen_factors(groups) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Read-only complex copies of nested factor lists (decomposition terms, site POVMs)."""
-    frozen = tuple(tuple(np.array(f, dtype=np.complex128) for f in group) for group in groups)
-    for group in frozen:
-        for f in group:
-            f.setflags(write=False)
-    return frozen
+    """Read-only complex copies of nested factor lists (decomposition terms, site POVMs), one copy per shape."""
+    groups = [tuple(group) for group in groups]
+    flat = list(itertools.chain.from_iterable(groups))
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for k, f in enumerate(flat):
+        shapes.setdefault(np.shape(f), []).append(k)
+    for idx in shapes.values():
+        stack = np.array([flat[k] for k in idx], dtype=np.complex128)
+        stack.setflags(write=False)
+        for k, f in zip(idx, stack):
+            flat[k] = f
+    ends = itertools.accumulate(map(len, groups))
+    return tuple(tuple(flat[end - len(group) : end]) for group, end in zip(groups, ends))
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,9 +481,7 @@ def _decomposition_to_json(dec: SeparableDecomposition) -> dict:
 def _decomposition_from_json(data: Any, field_name: str) -> SeparableDecomposition:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise SchemaError(f"{field_name}: expected an object with a 'terms' list")
-    return SeparableDecomposition(
-        tuple(matrices_from_json(term, f"{field_name}.terms[{t}]") for t, term in enumerate(data["terms"]))
-    )
+    return SeparableDecomposition(matrix_groups_from_json(data["terms"], f"{field_name}.terms"))
 
 
 def _protocol_to_json(protocol: LoccProtocol) -> dict:
@@ -497,7 +502,7 @@ def _protocol_from_json(data: Any, field_name: str) -> LoccProtocol:
     raw_povms = data.get("site_povms")
     if not isinstance(raw_povms, list) or not raw_povms:
         raise SchemaError(f"{field_name}.site_povms: expected a non-empty list")
-    povms = [matrices_from_json(povm, f"{field_name}.site_povms[{k}]") for k, povm in enumerate(raw_povms)]
+    povms = matrix_groups_from_json(raw_povms, f"{field_name}.site_povms")
     raw_assignment = data.get("assignment", [])
     if not isinstance(raw_assignment, list):
         raise SchemaError(f"{field_name}.assignment: expected a list of [outcome, element] pairs")

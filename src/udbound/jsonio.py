@@ -15,8 +15,8 @@ double precision in either form.  The writer picks the form by one rule,
 its bit pattern (so -0.0 is kept), and a square matrix at most half of
 whose entries are nonzero is written as coordinates.  This module alone
 maps the wire format to arrays and validated operators; the other file
-formats decode their matrices through ``operator_from_json`` and
-``matrices_from_json``.
+formats decode their matrices through ``operator_from_json``,
+``matrices_from_json`` and ``matrix_groups_from_json``.
 
 A file is loaded in one pass, ``read_json(path, decode)``: the text is read
 and parsed, then released, and the parsed tree is decoded and validated,
@@ -25,7 +25,13 @@ before the collector resumes.  A dense matrix is decoded from one flat list
 of its numbers through one ``np.array`` call, after the row and pair
 lengths are checked, and a list of same-side dense matrices shares one such
 call.  A coordinate matrix is decoded from its four lists, one
-``np.array`` call each, after their item types are checked.
+``np.array`` call each, after their item types are checked, and a list of
+same-side coordinate matrices is decoded in one pass: each field's lists
+are concatenated into one ``np.array`` call, and the indices, repeated
+(matrix, row, col) entries and finiteness are checked once over all of
+them.  A list of lists, such as a decomposition's terms or a protocol's
+site POVMs, is decoded as one such list.  If a one-pass check fails, each
+matrix is decoded on its own, so an error names the first bad field.
 
 Every JSON text the package writes comes from ``dumps``, which reproduces
 ``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte.
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import gc
 import json
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -106,17 +112,41 @@ def matrix_from_json(data: Any, field: str) -> np.ndarray:
 
 
 def matrices_from_json(data: Any, field: str) -> tuple[np.ndarray, ...]:
-    """Decode a non-empty list of matrices, in one pass when they are dense and share one side.
+    """Decode a non-empty list of matrices, in one pass when all are in one form and share one side.
 
     Otherwise, or if one is malformed, each is decoded on its own, so an
     error names the first bad ``field[k]``.
     """
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{field}: expected a non-empty list of matrices")
-    stack = None if any(isinstance(m, dict) for m in data) else _stack(data)
+    stack = _one_pass(data)
     if stack is None:
         return tuple(matrix_from_json(m, f"{field}[{k}]") for k, m in enumerate(data))
     return tuple(stack)
+
+
+def matrix_groups_from_json(data: list, field: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Decode a list of non-empty lists of matrices, such as a decomposition's terms, in one pass over all of them.
+
+    Otherwise, or if one is malformed, each list goes through
+    :func:`matrices_from_json` as ``field[t]``, so an error names the
+    first bad ``field[t]`` or ``field[t][k]``.
+    """
+    if data and all(isinstance(group, list) and group for group in data):
+        stack = _one_pass(list(chain.from_iterable(data)))
+        if stack is not None:
+            ends = accumulate(map(len, data))
+            return tuple(tuple(stack[end - len(group) : end]) for group, end in zip(data, ends))
+    return tuple(matrices_from_json(group, f"{field}[{t}]") for t, group in enumerate(data))
+
+
+def _one_pass(mats: list) -> Optional[np.ndarray]:
+    """The complex (k, n, n) stack of k matrices that are all dense or all coordinate objects, of one side n;
+    None if they are not, or if one is malformed."""
+    coordinate = [isinstance(m, dict) for m in mats]
+    if all(coordinate):
+        return _coordinate_stack(mats)
+    return None if any(coordinate) else _stack(mats)
 
 
 _COORDINATE_KEYS = frozenset({"side", "rows", "cols", "re", "im"})
@@ -157,6 +187,45 @@ def _from_coordinates(data: dict, field: str) -> np.ndarray:
             raise SchemaError(f"{field}.{key}: expected finite numbers")
         pairs[flat, k] = values
     return pairs.view(np.complex128).reshape(side, side)
+
+
+def _coordinate_stack(mats: list[dict]) -> Optional[np.ndarray]:
+    """The complex (k, n, n) stack of k coordinate objects of one side n, under the rules of
+    :func:`_from_coordinates` checked once over all their entries; None if one breaks a rule.
+
+    The lists of each field are concatenated and go through one ``np.array``
+    call, and a repeated entry is a repeated (matrix, row, col).
+    """
+    side = mats[0].get("side")
+    if not (_is_int(side) and 0 < side < 2**31) or not all(
+        m.keys() == _COORDINATE_KEYS and _is_int(m["side"]) and m["side"] == side for m in mats
+    ):
+        return None
+    fields = [[m[key] for m in mats] for key in ("rows", "cols", "re", "im")]
+    if not all(isinstance(v, list) for lists in fields for v in lists):
+        return None
+    lengths = [len(v) for v in fields[0]]
+    if any([len(v) for v in lists] != lengths for lists in fields[1:]):
+        return None
+    rows, cols, re, im = (
+        _numbers(list(chain.from_iterable(lists)), types, dtype)
+        for lists, (types, dtype) in zip(fields, [((int,), np.int64)] * 2 + [((int, float), np.float64)] * 2)
+    )
+    if any(v is None for v in (rows, cols, re, im)) or not (np.isfinite(re).all() and np.isfinite(im).all()):
+        return None
+    if rows.size and not (min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < side):
+        return None
+    try:
+        pairs = np.zeros((len(mats) * side * side, 2))
+    except (MemoryError, ValueError):  # numpy raises ValueError past its largest size
+        return None
+    flat = (np.repeat(np.arange(len(mats)), lengths) * side + rows) * side + cols
+    ordered = np.sort(flat)
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    pairs[flat, 0] = re
+    pairs[flat, 1] = im
+    return pairs.view(np.complex128).reshape(len(mats), side, side)
 
 
 def _numbers(values: list, types: tuple[type, ...], dtype) -> Optional[np.ndarray]:

@@ -14,7 +14,10 @@ constraints can see, and both sizings are exact:
   K_i ∩ S from ``cones.no_error_subspaces``.  Every
   state vanishes on S⊥, so S⊥ ⊆ K_i and K_i = S⊥ ⊕ (K_i ∩ S): the value,
   condition 7c of the lifted certificate and the completed measurement
-  are unchanged.  Completeness is imposed on the joint span of the K_i ∩ S.
+  are unchanged.  Completeness is imposed on the joint span of the K_i ∩ S,
+  the range of sum_i k_i k_i† through the same split, so that every basis,
+  and with it every lifted element and certificate, keeps the ensemble's
+  exact zeros.
 - separable bound: on the joint support V of the generators (plus K_i for
   an empty cone).  Every constraint sees H only through V and the
   objective is Tr H, so P_V H P_V stays feasible with no larger trace, and
@@ -57,8 +60,7 @@ def _conclusive_data(ensemble: Ensemble):
     """
     support, _, states, kernels = no_error_subspaces(ensemble)
     kernels = {i: kernel for i, kernel in enumerate(kernels) if kernel.shape[1]}
-    q, r = np.linalg.qr(np.hstack([np.zeros((support.shape[1], 0))] + list(kernels.values())))
-    joint = q @ split_support(r @ r.conj().T)[0]
+    joint = split_support(sum((k @ k.conj().T for k in kernels.values()), np.zeros((support.shape[1],) * 2)))[0]
     data = {
         i: (support @ k, joint.conj().T @ k, ensemble.priors[i] * (k.conj().T @ states[i] @ k))
         for i, k in kernels.items()

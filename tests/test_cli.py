@@ -113,6 +113,13 @@ class TestSolveCommand:
         payload = json.loads(out.read_text())
         assert abs(payload["value"] - (1 - 1 / math.sqrt(2))) < 1e-5
 
+    def test_example2_d4_global_report_keeps_the_ensemble_zeros(self, tmp_path):
+        # the split by component keeps every solved matrix sparse, so each is written as coordinates
+        assert main(["example2", "--d", "4", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "report.json"
+        assert main(["solve", "global", "--ensemble", str(tmp_path / "example2_d4_ensemble.json"), "--out", str(out)]) == 0
+        assert out.stat().st_size < 50_000
+
     def test_never_conclusive_state(self, tmp_path, capsys):
         # |0><0| is never identified: the other state, I/2, has full rank
         dims = DimVector((2,))

@@ -30,9 +30,10 @@ from udbound import (
     load_cones,
     min_eigenvalue,
     partial_transpose,
+    solve_global,
     tensor,
 )
-from udbound.cones import RANK_TOL, check_no_error_cone, no_error_subspaces
+from udbound.cones import RANK_TOL, check_no_error_cone, no_error_subspaces, split_support
 from udbound.operators import PSD_TOL
 from udbound.jsonio import matrix_to_json, write_json
 from helpers import nested_support_ensemble, random_ensemble, random_psd
@@ -69,17 +70,53 @@ class TestConclusiveSubspace:
         assert conclusive_subspace(ensemble, 0).shape == (4, 3)
 
 
+def _pattern_components(nonzero):
+    """The connected components of a symmetric nonzero pattern, each a sorted index array, by smallest index."""
+    seen, out = set(), []
+    for start in range(len(nonzero)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, members = [start], []
+        while stack:
+            k = stack.pop()
+            members.append(k)
+            for j in np.flatnonzero(nonzero[k]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        out.append(np.array(sorted(members)))
+    return out
+
+
+def _reference_split_by_component(psd):
+    """Range and kernel bases of a PSD matrix with one ``eigh`` per connected component of its Hermitian part's
+    nonzero pattern (the whole matrix when it has no zero entry or is one component), components by smallest
+    index, each with its eigenvectors in ascending order, in real arithmetic for a component with real data."""
+    herm = (psd + psd.conj().T) / 2
+    components = [np.arange(len(herm))] if (herm != 0).all() else _pattern_components(herm != 0)
+    dtype = np.complex128 if herm.imag.any() else np.float64
+    columns = ([], [])
+    for members in components:
+        block = herm[np.ix_(members, members)]
+        if not block.imag.any():
+            block = block.real
+        w, v = np.linalg.eigh(block)
+        for k in range(len(members)):
+            column = np.zeros(len(herm), dtype=dtype)
+            column[members] = v[:, k]
+            columns[bool(w[k] <= RANK_TOL)].append(column)
+    return tuple(np.ascontiguousarray(np.array(c, dtype=dtype).T.reshape(len(herm), len(c))) for c in columns)
+
+
 def _reference_conclusive_subspace(ensemble, i):
-    """The body of ``conclusive_subspace`` before it called ``split_support``, in real arithmetic for real data."""
+    """The body of ``conclusive_subspace`` before it called ``split_support``, with the split taken one
+    component at a time."""
     total = np.zeros((ensemble.dims.total,) * 2, dtype=np.complex128)
     for j, rho in enumerate(ensemble.states):
         if j != i:
             total += rho.matrix
-    total = (total + total.conj().T) / 2
-    if not total.imag.any():
-        total = total.real
-    w, v = np.linalg.eigh(total)
-    return np.ascontiguousarray(v[:, w <= RANK_TOL])
+    return _reference_split_by_component(total)[1]
 
 
 _SPLIT_CASES = {
@@ -126,6 +163,87 @@ def test_no_error_subspaces_split_the_support_once(case):
         for j, other in enumerate(ensemble.states):
             if j != i:
                 assert np.abs(lifted.conj().T @ other.matrix @ lifted).max(initial=0.0) <= RANK_TOL
+
+
+def _reference_split(psd):
+    """The one-``eigh`` body of ``split_support`` before it split by component."""
+    herm = (psd + psd.conj().T) / 2
+    if not herm.imag.any():
+        herm = herm.real
+    vals, vecs = np.linalg.eigh(herm)
+    return vecs[:, vals > RANK_TOL], vecs[:, vals <= RANK_TOL]
+
+
+@st.composite
+def _permuted_block_diagonal(draw):
+    """A PSD matrix, block diagonal under a random permutation: blocks of side 1-4, real or complex, of any
+    rank (a rank-0 block gives singletons), with nonzero eigenvalues in [0.5, 2]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.booleans(), st.integers(0, 4)), min_size=1, max_size=8))
+    side = sum(s for s, _, _ in blocks)
+    mat = np.zeros((side, side), dtype=np.complex128)
+    start = 0
+    for s, is_complex, rank in blocks:
+        g = rng.standard_normal((s, s)) + (1j * rng.standard_normal((s, s)) if is_complex else 0)
+        q = np.linalg.qr(g)[0]
+        vals = np.r_[rng.uniform(0.5, 2.0, min(rank, s)), np.zeros(s - min(rank, s))]
+        mat[start : start + s, start : start + s] = (q * vals) @ q.conj().T
+        start += s
+    perm = rng.permutation(side)
+    mat = mat[np.ix_(perm, perm)]
+    return mat if draw(st.booleans()) else mat.real if not mat.imag.any() else mat
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_permuted_block_diagonal())
+@example(np.zeros((3, 3)))
+@example(np.diag([1.0, 0.0, 2.0]))
+def test_split_by_component_matches_the_dense_split(psd):
+    """Range and kernel projectors are the one-``eigh`` split's, each column stays inside one component, and the
+    bases are the per-component reference's bit for bit."""
+    herm = (psd + psd.conj().T) / 2
+    components = _pattern_components(herm != 0)
+    for basis, per_component in zip(split_support(psd), _reference_split_by_component(psd)):
+        assert basis.dtype == per_component.dtype and basis.tobytes() == per_component.tobytes()
+    for basis, reference in zip(split_support(psd), _reference_split(psd)):
+        assert basis.shape == reference.shape
+        assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-12
+        assert np.abs(basis @ basis.conj().T - reference @ reference.conj().T).max(initial=0.0) <= 1e-12
+        for column in basis.T:
+            support = np.flatnonzero(column)
+            assert any(np.isin(support, members).all() for members in components)
+
+
+@pytest.mark.parametrize(
+    "psd",
+    [
+        random_psd(np.random.default_rng(3), (6,), 4).matrix,
+        random_psd(np.random.default_rng(4), (5,)).matrix.real,
+        np.diag([2.0, 1.0, 1.0, 0.0]) + np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, 1.0], -1),  # a path
+        np.array([[1.0, 0.0, 1j], [0.0, 1.0, 1.0], [-1j, 1.0, 2.0]]),  # one component, with zeros
+    ],
+    ids=["dense_complex", "dense_real", "real_path", "complex_with_zeros"],
+)
+def test_one_component_takes_the_one_eigh_split_bit_for_bit(psd):
+    for basis, reference in zip(split_support(psd), _reference_split(psd)):
+        assert basis.dtype == reference.dtype and basis.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_solved_example2_outputs_keep_the_union_pattern(d):
+    """No solved measurement element or certificate entry outside the blocks of the states' union pattern is
+    nonzero."""
+    ensemble = build_example2(d)[0]
+    union = sum(rho.matrix != 0 for rho in ensemble.states)
+    labels = np.empty(len(union), dtype=int)
+    for k, members in enumerate(_pattern_components(union)):
+        labels[members] = k
+    outside = labels[:, None] != labels[None, :]
+    assert outside.any()
+    report = solve_global(ensemble, tol=1e-7)
+    assert report.status == "optimal"
+    for op in report.measurement.elements + (report.dual_certificate,):
+        assert not op.matrix[outside].any()
 
 
 class TestInGeneratedDual:

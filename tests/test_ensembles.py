@@ -92,6 +92,17 @@ class TestProductStructure:
         with pytest.raises(ValueError, match=f"assigned to element {target} out of range"):
             protocol.derive_decompositions(DimVector((2, 2)), 2)
 
+    def test_factors_are_read_only_complex_copies(self):
+        a, b = np.eye(2), np.ones((3, 3))
+        dec = SeparableDecomposition(((a, b), (b, a), (a, a)))
+        protocol = LoccProtocol("x", ((a, a), (b,)))
+        for group in dec.terms + protocol.site_povms:
+            for f in group:
+                assert f.dtype == np.complex128 and not f.flags.writeable
+        assert [[f.shape for f in term] for term in dec.terms] == [[(2, 2), (3, 3)], [(3, 3), (2, 2)], [(2, 2)] * 2]
+        a[0, 0] = 7.0
+        assert dec.terms[0][0][0, 0] == 1.0 and protocol.site_povms[0][1][0, 0] == 1.0
+
     def test_one_by_one_factors_are_rejected(self):
         dec = SeparableDecomposition(((0.25 * np.eye(1), np.eye(1)),))
         with pytest.raises(ValueError, match=r"factor shapes \[\(1, 1\), \(1, 1\)\], expected sides \(2, 2\)"):

@@ -43,6 +43,7 @@ from udbound.jsonio import (
     dumps,
     matrices_from_json,
     matrix_from_json,
+    matrix_groups_from_json,
     matrix_to_json,
     operator_from_dict,
     read_json,
@@ -661,7 +662,7 @@ class TestCoordinateForm:
             assert listify(written) == reference_matrix_to_json(flat.reshape(shape))
 
     def test_read_back_report_rewrites_byte_identically(self, tmp_path):
-        ensemble, _ = build_example2(3)
+        ensemble, _ = build_example1()  # its report holds both forms; example2's solved matrices are all sparse
         payload = solve_global(ensemble, tol=1e-8, seed=0).to_dict()
         forms = {type(m) for m in [payload["dual_certificate"]["matrix"]] + [
             el["matrix"] for el in payload["measurement"]["elements"]
@@ -716,6 +717,32 @@ class TestCoordinateForm:
             matrix_from_json(_bad(change), "m")
         with pytest.raises(SchemaError, match=message.replace("^m", r"^f\[1\]")):
             matrices_from_json([np.zeros((3, 3, 2)).tolist(), _bad(change)], "f")
+
+    @pytest.mark.parametrize("rule", sorted(BAD))
+    def test_each_rule_is_a_schema_error_in_a_coordinate_list(self, rule):
+        # a list of coordinate objects is decoded in one pass; a broken rule gives the one object's own message
+        change, message = self.BAD[rule]
+        good = _bad(lambda d: None)
+        with pytest.raises(SchemaError, match=message.replace("^m", r"^f\[1\]")):
+            matrices_from_json([good, _bad(change)], "f")
+        with pytest.raises(SchemaError, match=message.replace("^m", r"^f\[1\]\[0\]")):
+            matrix_groups_from_json([[good], [_bad(change), good]], "f")
+
+    def test_a_coordinate_list_decodes_as_each_object_alone(self):
+        rng = np.random.default_rng(5)
+        mats = []
+        for count in (0, 1, 4, 7):
+            mat = np.zeros(16, dtype=np.complex128)
+            mat[1 + rng.choice(15, count, replace=False)] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+            mat = mat.reshape(4, 4)
+            mat[0, 0] = complex(-0.0, 5e-324)
+            mats.append(matrix_to_json(mat))
+        assert all(isinstance(m, dict) for m in mats)
+        alone = [_bits(matrix_from_json(m, "m")) for m in mats]
+        assert all(np.array_equal(_bits(a), b) for a, b in zip(matrices_from_json(mats, "f"), alone))
+        groups = matrix_groups_from_json([mats[:1], mats[1:]], "g")
+        assert [len(g) for g in groups] == [1, 3]
+        assert all(np.array_equal(_bits(a), b) for a, b in zip(groups[0] + groups[1], alone))
 
     def test_a_side_too_large_to_allocate_is_a_schema_error(self, tmp_path):
         # 2**48 entries are 4 PiB, past any address space, so the allocation fails at once
