@@ -24,14 +24,14 @@ all under one pause of the cyclic garbage collector; the tree is dropped
 before the collector resumes.  A dense matrix is decoded from one flat list
 of its numbers through one ``np.array`` call, after the row and pair
 lengths are checked, and a list of same-side dense matrices shares one such
-call.  A coordinate matrix is decoded from its four lists, one
-``np.array`` call each, after their item types are checked, and a list of
-same-side coordinate matrices is decoded in one pass: each field's lists
-are concatenated into one ``np.array`` call, and the indices, repeated
-(matrix, row, col) entries and finiteness are checked once over all of
-them.  A list of lists, such as a decomposition's terms or a protocol's
-site POVMs, is decoded as one such list.  If a one-pass check fails, each
-matrix is decoded on its own, so an error names the first bad field.
+call.  Coordinate objects have one decoder, :func:`_coordinate_stack`,
+whose docstring states their rules and the order they are checked in: a
+single object is decoded as a list of one, its rows and cols through one
+``np.array`` call and its re and im through another, and a list of
+same-side objects in one pass, each key's lists concatenated first.  A
+list of lists, such as a decomposition's terms or a protocol's site POVMs,
+is decoded as one such list.  If a one-pass check fails, each matrix is
+decoded on its own, so an error names the first bad field.
 
 Every JSON text the package writes comes from ``dumps``, which reproduces
 ``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte.
@@ -49,6 +49,7 @@ from __future__ import annotations
 import gc
 import json
 from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -90,13 +91,13 @@ def _is_sparse(nonzero: np.ndarray) -> bool:
 def matrix_from_json(data: Any, field: str) -> np.ndarray:
     """Decode a square matrix, a coordinate object or dense [re, im] pairs of finite numbers.
 
-    A dict is read by :func:`_from_coordinates`, a list as a JSON tree
-    through :func:`_stack`.  Any other value, such as the float64 (r, c, 2)
-    array of :func:`matrix_to_json`, goes through one ``np.array`` call
-    under the dense rules.
+    A dict is read by :func:`_coordinate_stack` as a list of one, a list as
+    a JSON tree through :func:`_stack`.  Any other value, such as the
+    float64 (r, c, 2) array of :func:`matrix_to_json`, goes through one
+    ``np.array`` call under the dense rules.
     """
     if isinstance(data, dict):
-        return _from_coordinates(data, field)
+        return _coordinate_stack([data], field)[0]
     if isinstance(data, list):
         stack = _stack([data])
     else:
@@ -119,7 +120,7 @@ def matrices_from_json(data: Any, field: str) -> tuple[np.ndarray, ...]:
     """
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{field}: expected a non-empty list of matrices")
-    stack = _one_pass(data)
+    stack = _one_pass(data, field)
     if stack is None:
         return tuple(matrix_from_json(m, f"{field}[{k}]") for k, m in enumerate(data))
     return tuple(stack)
@@ -133,99 +134,96 @@ def matrix_groups_from_json(data: list, field: str) -> tuple[tuple[np.ndarray, .
     first bad ``field[t]`` or ``field[t][k]``.
     """
     if data and all(isinstance(group, list) and group for group in data):
-        stack = _one_pass(list(chain.from_iterable(data)))
+        stack = _one_pass(list(chain.from_iterable(data)), field)
         if stack is not None:
             ends = accumulate(map(len, data))
             return tuple(tuple(stack[end - len(group) : end]) for group, end in zip(data, ends))
     return tuple(matrices_from_json(group, f"{field}[{t}]") for t, group in enumerate(data))
 
 
-def _one_pass(mats: list) -> Optional[np.ndarray]:
+def _one_pass(mats: list, field: str) -> Optional[np.ndarray]:
     """The complex (k, n, n) stack of k matrices that are all dense or all coordinate objects, of one side n;
     None if they are not, or if one is malformed."""
     coordinate = [isinstance(m, dict) for m in mats]
     if all(coordinate):
-        return _coordinate_stack(mats)
+        try:
+            return _coordinate_stack(mats, field)
+        except SchemaError:
+            return None
     return None if any(coordinate) else _stack(mats)
 
 
 _COORDINATE_KEYS = frozenset({"side", "rows", "cols", "re", "im"})
+_LISTS = itemgetter("rows", "cols", "re", "im")
 
 
-def _from_coordinates(data: dict, field: str) -> np.ndarray:
-    """The complex matrix of a coordinate object.
+def _coordinate_stack(mats: list[dict], field: str) -> np.ndarray:
+    """The complex (k, n, n) stack of k >= 1 coordinate objects of one side n.
 
-    Checked in this order: exactly its five keys; ``side`` a positive JSON
-    integer below 2**31, so that row * side + col fits in 64 bits; four
-    lists of one length; JSON integers in [0, side) as rows and cols; no
-    (row, col) listed twice; finite JSON numbers as re and im.
+    The rules, checked in this order over all k objects; the first one
+    broken is a SchemaError naming ``field``:
+
+    1. exactly the five keys;
+    2. ``side`` a positive JSON integer below 2**31, so that row * side +
+       col fits in 64 bits, and one side for all;
+    3. rows, cols, re and im lists of one length in each object;
+    4. JSON integers in [0, side) as rows, then as cols;
+    5. no (matrix, row, col) listed twice;
+    6. room in memory for the k * side**2 entries;
+    7. finite JSON numbers as re, then as im.
+
+    The rows and cols go through one ``np.array`` call, and so do the re
+    and im: one object's lists as they are, k objects' lists concatenated
+    per key, each row then offset by its matrix.  Only when a call's items
+    break a rule are the rows, or the re, checked alone, to name the key.
     """
-    if set(data) != _COORDINATE_KEYS:
+    if not all(m.keys() == _COORDINATE_KEYS for m in mats):
         raise SchemaError(f"{field}: expected a coordinate object with exactly the keys cols, im, re, rows, side")
-    side = data["side"]
-    if not _is_int(side) or not 0 < side < 2**31:
+    side = mats[0]["side"]
+    if not (_is_int(side) and 0 < side < 2**31):
         raise SchemaError(f"{field}.side: expected a positive integer below 2**31")
-    lists = [data[key] for key in ("rows", "cols", "re", "im")]
-    if not all(isinstance(v, list) for v in lists) or len(set(map(len, lists))) != 1:
+    if not all(_is_int(m["side"]) and m["side"] == side for m in mats):
+        raise SchemaError(f"{field}.side: expected one side for all matrices")
+    lists = list(map(_LISTS, mats))
+    if not all(isinstance(v, list) for each in lists for v in each) or any(
+        len(set(map(len, each))) != 1 for each in lists
+    ):
         raise SchemaError(f"{field}: expected rows, cols, re and im as lists of one length")
-    rows, cols = (_numbers(data[key], (int,), np.int64) for key in ("rows", "cols"))
-    for key, index in (("rows", rows), ("cols", cols)):
-        if index is None or (index.size and not (index.min() >= 0 and index.max() < side)):
-            raise SchemaError(f"{field}.{key}: expected integers in [0, side)")
-    flat = rows * side + cols
+    rows, cols, re, im = lists[0] if len(mats) == 1 else map(list, map(chain.from_iterable, zip(*lists)))
+    index = _indices(rows + cols, side)
+    if index is None:
+        key = "rows" if _indices(rows, side) is None else "cols"
+        raise SchemaError(f"{field}.{key}: expected integers in [0, side)")
+    flat = index[: len(rows)] * side + index[len(rows) :]
+    if len(mats) > 1:  # k * side**2 can pass 2**64 only where the allocation below fails
+        flat += np.repeat(np.arange(len(mats), dtype=np.uint64) * (side * side), [len(each[0]) for each in lists])
     ordered = np.sort(flat)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
-        raise SchemaError(f"{field}: entry {divmod(int(repeated[0]), side)} is listed twice")
-    try:
-        pairs = np.zeros((side * side, 2))
-    except MemoryError as exc:  # a few bytes of file can ask for petabytes
-        raise SchemaError(f"{field}.side: {side}**2 entries do not fit in memory") from exc
-    for k, key in enumerate(("re", "im")):
-        values = _numbers(data[key], (int, float), np.float64)
-        if values is None or not np.isfinite(values).all():
-            raise SchemaError(f"{field}.{key}: expected finite numbers")
-        pairs[flat, k] = values
-    return pairs.view(np.complex128).reshape(side, side)
-
-
-def _coordinate_stack(mats: list[dict]) -> Optional[np.ndarray]:
-    """The complex (k, n, n) stack of k coordinate objects of one side n, under the rules of
-    :func:`_from_coordinates` checked once over all their entries; None if one breaks a rule.
-
-    The lists of each field are concatenated and go through one ``np.array``
-    call, and a repeated entry is a repeated (matrix, row, col).
-    """
-    side = mats[0].get("side")
-    if not (_is_int(side) and 0 < side < 2**31) or not all(
-        m.keys() == _COORDINATE_KEYS and _is_int(m["side"]) and m["side"] == side for m in mats
-    ):
-        return None
-    fields = [[m[key] for m in mats] for key in ("rows", "cols", "re", "im")]
-    if not all(isinstance(v, list) for lists in fields for v in lists):
-        return None
-    lengths = [len(v) for v in fields[0]]
-    if any([len(v) for v in lists] != lengths for lists in fields[1:]):
-        return None
-    rows, cols, re, im = (
-        _numbers(list(chain.from_iterable(lists)), types, dtype)
-        for lists, (types, dtype) in zip(fields, [((int,), np.int64)] * 2 + [((int, float), np.float64)] * 2)
-    )
-    if any(v is None for v in (rows, cols, re, im)) or not (np.isfinite(re).all() and np.isfinite(im).all()):
-        return None
-    if rows.size and not (min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < side):
-        return None
+        raise SchemaError(f"{field}: entry {divmod(int(repeated[0]) % (side * side), side)} is listed twice")
     try:
         pairs = np.zeros((len(mats) * side * side, 2))
-    except (MemoryError, ValueError):  # numpy raises ValueError past its largest size
-        return None
-    flat = (np.repeat(np.arange(len(mats)), lengths) * side + rows) * side + cols
-    ordered = np.sort(flat)
-    if (ordered[1:] == ordered[:-1]).any():
-        return None
-    pairs[flat, 0] = re
-    pairs[flat, 1] = im
+    except (MemoryError, ValueError) as exc:  # a few bytes of file can ask for petabytes, past numpy's largest size
+        raise SchemaError(f"{field}.side: {side}**2 entries do not fit in memory") from exc
+    values = _finite(re + im)
+    if values is None:
+        key = "re" if _finite(re) is None else "im"
+        raise SchemaError(f"{field}.{key}: expected finite numbers")
+    pairs[flat] = values.reshape(2, -1).T
     return pairs.view(np.complex128).reshape(len(mats), side, side)
+
+
+def _indices(values: list, side: int) -> Optional[np.ndarray]:
+    """``values`` as a uint64 array if each is a JSON integer in [0, side), else None."""
+    index = _numbers(values, (int,), np.uint64)
+    # as uint64 a negative index fails (numpy 1 wraps it past 2**63), so one maximum checks the range
+    return None if index is None or (index.size and index.max() >= side) else index
+
+
+def _finite(values: list) -> Optional[np.ndarray]:
+    """``values`` as a float64 array if each is a finite JSON number, else None."""
+    array = _numbers(values, (int, float), np.float64)
+    return None if array is None or not np.isfinite(array).all() else array
 
 
 def _numbers(values: list, types: tuple[type, ...], dtype) -> Optional[np.ndarray]:

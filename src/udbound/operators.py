@@ -165,10 +165,6 @@ class StateVector:
     def projector(self) -> HermitianOperator:
         return HermitianOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
-    def outer(self, other: "StateVector") -> np.ndarray:
-        """Rank-one cross term |self><other| (generally non-Hermitian)."""
-        return np.outer(self.amplitudes, other.amplitudes.conj())
-
     def overlap(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 

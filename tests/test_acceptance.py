@@ -174,7 +174,7 @@ def test_criterion_6_structural_invariants():
         gram_worst = max(gram_worst, float(np.abs(gram - np.eye(2 * d)).max()))
         dims = (d,) * (d - 1)
         for a, s in zip(fixtures.aligned_states, fixtures.shifted_states):
-            cross = a.outer(s)
+            cross = np.outer(a.amplitudes, s.amplitudes.conj())
             for site in range(d - 1):
                 keep_one = [k for k in range(d - 1) if k != site]
                 trace_worst = max(

@@ -131,7 +131,7 @@ class TestExample2:
         _, fixtures = build_example2(d)
         dims = (d,) * (d - 1)
         for a, s in zip(fixtures.aligned_states, fixtures.shifted_states):
-            cross = a.outer(s)
+            cross = np.outer(a.amplitudes, s.amplitudes.conj())
             for site in range(d - 1):
                 others = [k for k in range(d - 1) if k != site]
                 assert np.abs(partial_trace(cross, others, dims=dims)).max() < 1e-12

@@ -703,6 +703,10 @@ class TestCoordinateForm:
         "overflowing int": (lambda d: d["im"].__setitem__(0, 10**400), r"^m\.im: expected finite numbers$"),
         "bool value": (lambda d: d["re"].__setitem__(0, False), r"^m\.re: expected finite numbers$"),
         "string value": (lambda d: d["im"].__setitem__(0, "1"), r"^m\.im: expected finite numbers$"),
+        "unallocatable side": (
+            lambda d: d.update(side=2**31 - 1),
+            r"^m\.side: 2147483647\*\*2 entries do not fit in memory$",
+        ),
     }
 
     def test_the_unchanged_object_decodes(self):
@@ -744,11 +748,14 @@ class TestCoordinateForm:
         assert [len(g) for g in groups] == [1, 3]
         assert all(np.array_equal(_bits(a), b) for a, b in zip(groups[0] + groups[1], alone))
 
-    def test_a_side_too_large_to_allocate_is_a_schema_error(self, tmp_path):
-        # 2**48 entries are 4 PiB, past any address space, so the allocation fails at once
+    # 2**48 entries are 4 PiB, past any address space, so the allocation fails at once (MemoryError);
+    # about 2**62 entries are past numpy's largest array size (ValueError)
+    @pytest.mark.parametrize("side", [16777216, 2147483647])
+    def test_a_side_too_large_to_allocate_is_a_schema_error(self, side, tmp_path):
         path = tmp_path / "huge.json"
-        path.write_text('{"dims": [16777216], "matrix": {"side": 16777216, "rows": [], "cols": [], "re": [], "im": []}}')
-        with pytest.raises(SchemaError, match=r"matrix\.side: 16777216\*\*2 entries do not fit in memory"):
+        matrix = {"side": side, "rows": [], "cols": [], "re": [], "im": []}
+        path.write_text(json.dumps({"dims": [side], "matrix": matrix}))
+        with pytest.raises(SchemaError, match=rf"matrix\.side: {side}\*\*2 entries do not fit in memory"):
             load_certificate(path)
 
     def test_a_file_error_names_the_field(self, tmp_path):
@@ -921,14 +928,25 @@ def matrix_lists(draw):
     return draw(st.lists(PAYLOADS, min_size=1, max_size=3))
 
 
+@st.composite
+def matrix_groups(draw):
+    """A ``matrix_lists()`` draw split into consecutive non-empty groups."""
+    mats = draw(matrix_lists())
+    ends = sorted(draw(st.sets(st.integers(1, len(mats) - 1)) if len(mats) > 1 else st.just(set()))) + [len(mats)]
+    return [mats[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def _outcome(decode):
-    """("ok", [(shape, dtype, bits), ...]) for what ``decode()`` returns, else (exception type, message)."""
+    """("ok", [(shape, dtype, bits), ...]) for what ``decode()`` returns, else (exception type, message);
+    a tuple of tuples gives one ("ok", [...]) per inner tuple."""
     try:
         out = decode()
     except Exception as exc:  # the exact type and text are what is compared
         return type(exc), str(exc)
     mats = out if isinstance(out, tuple) else (out,)
-    return "ok", [(m.shape, m.dtype, _bits(m).tobytes()) for m in mats]
+    return "ok", [
+        _outcome(lambda: m) if isinstance(m, tuple) else (m.shape, m.dtype, _bits(m).tobytes()) for m in mats
+    ]
 
 
 class TestDecodeEquivalence:
@@ -968,6 +986,23 @@ class TestDecodeEquivalence:
     def test_matrices_from_json(self, data):
         expected = _outcome(lambda: tuple(reference_matrix_from_json(m, f"f[{k}]") for k, m in enumerate(data)))
         assert _outcome(lambda: matrices_from_json(data, "f")) == expected
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(matrix_groups())
+    @example([[_coordinates(np.eye(2))], [_coordinates(np.eye(2)), _coordinates(np.eye(2))]])
+    @example([[_coordinates(np.eye(2))], [_coordinates(np.eye(3))], [_coordinates(np.eye(2))]])
+    @example([[_coordinates(np.eye(2)), _bad(lambda d: d["re"].append(0.0))], [_coordinates(np.eye(3))]])
+    # two rules broken at once: rows before cols, re before im
+    @example([[_coordinates(np.eye(2))], [{"side": 2, "rows": [2], "cols": [-1], "re": [1.0], "im": [0.0]}]])
+    @example([[{"side": 2, "rows": [0], "cols": [0], "re": [math.inf], "im": ["1"]}, _coordinates(np.eye(2))]])
+    def test_matrix_groups_from_json(self, groups):
+        expected = _outcome(
+            lambda: tuple(
+                tuple(reference_matrix_from_json(m, f"g[{t}][{k}]") for k, m in enumerate(group))
+                for t, group in enumerate(groups)
+            )
+        )
+        assert _outcome(lambda: matrix_groups_from_json(groups, "g")) == expected
 
 
 # ---------------------------------------------------------------------------
