@@ -26,7 +26,6 @@ from .ensembles import (
     LoccProtocol,
     Measurement,
     SeparableDecomposition,
-    ValidationReport,
     build_example1,
     build_example2,
     build_two_pure,
@@ -44,10 +43,8 @@ from .operators import (
     basis_state,
     compress,
     hs_inner,
-    identity,
     min_eigenvalue,
     partial_transpose,
-    tensor,
 )
 from .programs import solve_global, solve_separable_bound
 from .solver import Block, ConicProgram, Constraint, SolveReport, solve
@@ -84,7 +81,6 @@ __all__ = [
     "SeparableDecomposition",
     "SolveReport",
     "StateVector",
-    "ValidationReport",
     "VerificationReport",
     "basis_state",
     "build_example1",
@@ -98,7 +94,6 @@ __all__ = [
     "cones_to_dict",
     "example_cone_generators",
     "hs_inner",
-    "identity",
     "in_generated_dual",
     "is_product_state",
     "load_certificate",
@@ -115,7 +110,6 @@ __all__ = [
     "solve",
     "solve_global",
     "solve_separable_bound",
-    "tensor",
     "validate_ensemble",
     "verify_locc_equality",
     "verify_optimality",

@@ -38,7 +38,6 @@ from .operators import (
     kron_sum,
     min_eigenvalue,
     min_eigenvalues,
-    tensor,
 )
 
 #: eigenvalue threshold separating support from kernel
@@ -257,9 +256,7 @@ def example_cone_generators(ensemble: Ensemble, which: str, i: int) -> ConeGener
         e = basis_state(dims.dims[:1], (i,)).amplitudes.real
         forms = ((np.outer(e, e),) * dims.sites,)
 
-    generators = tuple(
-        tensor([HermitianOperator(f, DimVector((f.shape[0],))) for f in form]) for form in forms
-    )
+    generators = tuple(HermitianOperator(kron_sum((form,), dims.dims), dims) for form in forms)
     cone = ConeGenerators(dims, generators, forms)
     try:
         check_no_error_cone(ensemble, i, cone, 1e-10)

@@ -188,22 +188,8 @@ class Measurement:
         return nan_max(psd_violation(el) for el in self.elements)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "; ".join(self.violations)
-
-
-def validate_ensemble(ensemble: Ensemble) -> ValidationReport:
-    """Report every violated ensemble invariant."""
+def validate_ensemble(ensemble: Ensemble) -> tuple[str, ...]:
+    """Every violated ensemble invariant, one message each; empty for a valid ensemble."""
     violations: list[str] = []
     total = sum(ensemble.priors)
     if abs(total - 1.0) > 1e-10:
@@ -219,7 +205,7 @@ def validate_ensemble(ensemble: Ensemble) -> ValidationReport:
         tr = rho.trace
         if abs(tr - 1.0) > PSD_TOL:
             violations.append(f"state {k} trace {tr:.12g}")
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +446,9 @@ def ensemble_from_dict(data: Any, source: str = "ensemble") -> Ensemble:
     if label is not None and not isinstance(label, str):
         raise SchemaError(f"{source}.label: expected a string")
     ensemble = Ensemble(dims, tuple(priors), tuple(states), label=label)
-    report = validate_ensemble(ensemble)
-    if not report.ok:
-        raise SchemaError(f"{source}: invalid ensemble: {report}")
+    violations = validate_ensemble(ensemble)
+    if violations:
+        raise SchemaError(f"{source}: invalid ensemble: {'; '.join(violations)}")
     return ensemble
 
 

@@ -1,14 +1,14 @@
 """Dense complex Hermitian linear algebra on multipartite spaces.
 
 Operators carry their local-dimension signature, and constructors reject
-non-finite entries, symmetrize and record the Hermiticity deviation.  All
-values are immutable; every function here is pure.
+non-finite entries and inputs beyond the Hermiticity limit, then
+symmetrize.  All values are immutable; every function here is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -60,14 +60,13 @@ def _as_dims(dims: Union[DimVector, Sequence[int]]) -> DimVector:
 class HermitianOperator:
     """A Hermitian matrix on a multipartite space.
 
-    The stored matrix is the symmetrized input (A + A^dag)/2; the max-entry
-    deviation |A - A^dag| of the raw input is recorded and inputs beyond
-    ``HERMITICITY_LIMIT``, or with a non-finite entry, are rejected.
+    The stored matrix is the symmetrized input (A + A^dag)/2; inputs whose
+    max-entry deviation |A - A^dag| exceeds ``HERMITICITY_LIMIT``, or with a
+    non-finite entry, are rejected.
     """
 
     matrix: np.ndarray
     dims: DimVector
-    deviation: float = field(init=False)
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=np.complex128)
@@ -93,7 +92,6 @@ class HermitianOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "deviation", deviation)
 
     @property
     def side(self) -> int:
@@ -184,11 +182,6 @@ def basis_state(dims: Union[DimVector, Sequence[int]], indices: Sequence[int]) -
     return StateVector(amp, dims)
 
 
-def identity(dims: Union[DimVector, Sequence[int]]) -> HermitianOperator:
-    dims = _as_dims(dims)
-    return HermitianOperator(np.eye(dims.total, dtype=np.complex128), dims)
-
-
 def kron_sum(terms: Sequence[Sequence[np.ndarray]], sides: Sequence[int]) -> np.ndarray:
     """Sum over terms of the Kronecker product of their factors; factor 0 varies slowest.
 
@@ -213,28 +206,6 @@ def kron_sum(terms: Sequence[Sequence[np.ndarray]], sides: Sequence[int]) -> np.
     return out.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
 
 
-def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
-    """Kronecker product of operators; the first factor varies slowest."""
-    if not ops:
-        raise ValueError("no factors")
-    dims = tuple(d for op in ops for d in op.dims.dims)
-    return HermitianOperator(kron_sum(([op.matrix for op in ops],), [op.side for op in ops]), DimVector(dims))
-
-
-def _matrix_and_dims(
-    op: Union[HermitianOperator, np.ndarray], dims: Union[DimVector, Sequence[int], None]
-) -> tuple[np.ndarray, DimVector]:
-    if isinstance(op, HermitianOperator):
-        return op.matrix, op.dims
-    if dims is None:
-        raise ValueError("dims are required when passing a bare matrix")
-    mat = np.asarray(op, dtype=np.complex128)
-    d = _as_dims(dims)
-    if mat.shape != (d.total, d.total):
-        raise ValueError(f"matrix shape {mat.shape} does not match dims {d.dims}")
-    return mat, d
-
-
 def _normalize_sites(sites: Union[int, Iterable[int]], n_sites: int) -> tuple[int, ...]:
     idx = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
     out = sorted(set(int(k) for k in idx))
@@ -244,23 +215,16 @@ def _normalize_sites(sites: Union[int, Iterable[int]], n_sites: int) -> tuple[in
     return tuple(out)
 
 
-def partial_transpose(
-    op: Union[HermitianOperator, np.ndarray],
-    sites: Union[int, Iterable[int]],
-    dims: Union[DimVector, Sequence[int], None] = None,
-):
+def partial_transpose(op: HermitianOperator, sites: Union[int, Iterable[int]]) -> HermitianOperator:
     """Transpose the given sites (0-based), leaving the rest untouched."""
-    mat, dv = _matrix_and_dims(op, dims)
+    dv = op.dims
     swapped = _normalize_sites(sites, dv.sites)
     m = dv.sites
-    t = mat.reshape(*dv.dims, *dv.dims)
+    t = op.matrix.reshape(*dv.dims, *dv.dims)
     axes = list(range(2 * m))
     for site in swapped:
         axes[site], axes[site + m] = axes[site + m], axes[site]
-    out = t.transpose(axes).reshape(dv.total, dv.total)
-    if isinstance(op, HermitianOperator):
-        return HermitianOperator(out, dv)
-    return out
+    return HermitianOperator(t.transpose(axes).reshape(dv.total, dv.total), dv)
 
 
 def _by_arithmetic(herm: np.ndarray) -> list[tuple[Union[slice, np.ndarray], np.ndarray]]:

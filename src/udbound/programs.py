@@ -95,13 +95,14 @@ def solve_global(
     dims = ensemble.dims
     lift, data = _conclusive_data(ensemble)
     w = lift.shape[1]
-    report = _zero_report(ensemble, tol, seed)
     if data:
         blocks = [Block(f"x{i}", basis.shape[1]) for i, (basis, _, _) in data.items()] + [Block("slack", w)]
         objective = {f"x{i}": target for i, (_, _, target) in data.items()}
         terms = {f"x{i}": reduced for i, (_, reduced, _) in data.items()} | {"slack": 1.0}
         program = ConicProgram(tuple(blocks), objective, tuple(_matrix_equality(np.eye(w), terms)), sense="max")
         report = solve(program, tol=tol, max_iter=max_iter, seed=seed)
+    else:
+        report = _zero_report(ensemble, tol, seed)
 
     mats = [np.zeros((dims.total,) * 2, dtype=np.complex128) for _ in range(ensemble.n)]
     value = 0.0

@@ -100,7 +100,9 @@ def smat(vec: np.ndarray, side: int) -> np.ndarray:
     """Inverse of :func:`svec`, over the last axis of ``vec``."""
     k = side * (side - 1) // 2
     off = (vec[..., side : side + k] + 1j * vec[..., side + k :]) / _SQRT2
-    cols = np.concatenate([vec[..., :side].astype(np.complex128), off, off.conj()], axis=-1)
+    low = off.conj()
+    low.imag += 0.0  # conj turns a +0.0 imaginary part into -0.0; -0.0 + 0.0 is +0.0
+    cols = np.concatenate([vec[..., :side].astype(np.complex128), off, low], axis=-1)
     return cols[..., _indices(side)[4]].reshape(*vec.shape[:-1], side, side)
 
 

@@ -322,7 +322,10 @@ def _reference_from_coordinates(data, field):
         seen.add(cell)
     if repeated:
         raise SchemaError(f"{field}: entry {min(repeated)} is listed twice")
-    pairs = np.zeros((side, side, 2))
+    try:
+        pairs = np.zeros((side, side, 2))
+    except (MemoryError, ValueError):
+        raise SchemaError(f"{field}.side: {side}**2 entries do not fit in memory") from None
     for part, key in enumerate(("re", "im")):
         for (r, c), x in zip(cells, data[key]):
             try:

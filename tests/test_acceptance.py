@@ -11,7 +11,6 @@ import numpy as np
 from udbound import (
     ConeGenerators,
     DimVector,
-    HermitianOperator,
     basis_state,
     build_example1,
     build_example2,
@@ -199,8 +198,7 @@ def test_criterion_7_separable_dual_trace_property():
     for k in range(100):
         op = random_psd(rng, (2, 2), rank=int(rng.integers(1, 5)))
         if k % 2 == 1:
-            mat = partial_transpose(op.matrix, (0,), dims=(2, 2))
-            op = HermitianOperator(mat, DimVector((2, 2)))
+            op = partial_transpose(op, (0,))
         ok &= np.abs(op.matrix).max() > 1e-12  # nonzero draw
         ok &= op.trace > 1e-12
     _report(7, "nonzero separable-dual members have positive trace (100 draws)", ok)

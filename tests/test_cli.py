@@ -57,6 +57,15 @@ class TestExampleCommands:
         assert "d must be >= 3" in capsys.readouterr().err
 
 
+def _zero_coordinate_entries(tree):
+    """How many stored entries of the coordinate objects in a JSON tree have re and im both zero."""
+    if isinstance(tree, dict):
+        if tree.keys() == {"side", "rows", "cols", "re", "im"}:
+            return sum(re == 0 and im == 0 for re, im in zip(tree["re"], tree["im"]))
+        return sum(map(_zero_coordinate_entries, tree.values()))
+    return sum(map(_zero_coordinate_entries, tree)) if isinstance(tree, list) else 0
+
+
 class TestSolveCommand:
     def test_global(self, example1_files, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -119,6 +128,17 @@ class TestSolveCommand:
         out = tmp_path / "report.json"
         assert main(["solve", "global", "--ensemble", str(tmp_path / "example2_d4_ensemble.json"), "--out", str(out)]) == 0
         assert out.stat().st_size < 50_000
+
+    @pytest.mark.parametrize("family", ["example1", "example2_d3", "example2_d4"])
+    def test_reports_store_no_zero_entry(self, tmp_path, family):
+        # the writer stores an entry by its bits, so a -0.0 imaginary part of a zero entry is stored
+        name, _, d = family.partition("_d")
+        assert main([name, *(["--d", d] if d else []), "--out", str(tmp_path)]) == 0
+        stem = str(tmp_path / family)
+        for kind, extra in (("global", []), ("sep-bound", ["--cones", f"{stem}_cones.json"])):
+            out = tmp_path / f"{kind}.json"
+            assert main(["solve", kind, "--ensemble", f"{stem}_ensemble.json", *extra, "--out", str(out)]) == 0
+            assert _zero_coordinate_entries(json.loads(out.read_text())) == 0, kind
 
     def test_never_conclusive_state(self, tmp_path, capsys):
         # |0><0| is never identified: the other state, I/2, has full rank

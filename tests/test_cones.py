@@ -24,17 +24,15 @@ from udbound import (
     cones_to_dict,
     example_cone_generators,
     hs_inner,
-    identity,
     in_generated_dual,
     is_product_state,
     load_cones,
     min_eigenvalue,
     partial_transpose,
     solve_global,
-    tensor,
 )
 from udbound.cones import RANK_TOL, check_no_error_cone, no_error_subspaces, split_support
-from udbound.operators import PSD_TOL
+from udbound.operators import PSD_TOL, kron_sum
 from udbound.jsonio import matrix_to_json, write_json
 from helpers import nested_support_ensemble, random_ensemble, random_psd
 
@@ -267,15 +265,16 @@ class TestInGeneratedDual:
 
     def test_negative_identity_fails(self):
         dims = DimVector((2, 2))
-        cone = ConeGenerators(dims, (identity(dims),))
-        ok, worst = in_generated_dual(-1.0 * identity(dims), cone, 1e-9)
+        eye = HermitianOperator(np.eye(4), dims)
+        cone = ConeGenerators(dims, (eye,))
+        ok, worst = in_generated_dual(-1.0 * eye, cone, 1e-9)
         assert not ok
         assert worst < 0
 
     def test_empty_generator_list_dualizes_to_everything(self):
         dims = DimVector((2, 2))
         cone = ConeGenerators(dims, ())
-        ok, worst = in_generated_dual(-1.0 * identity(dims), cone, 1e-9)
+        ok, worst = in_generated_dual(-1.0 * HermitianOperator(np.eye(4), dims), cone, 1e-9)
         assert ok
         assert worst == 0.0
 
@@ -353,7 +352,8 @@ class TestPptCheck:
         rng = np.random.default_rng(23)
         a = random_psd(rng, (2,), rank=2)
         b = random_psd(rng, (2,), rank=1)
-        assert min_eigenvalue(partial_transpose(tensor([a, b]), (0,))) >= -PSD_TOL
+        product = HermitianOperator(kron_sum(((a.matrix, b.matrix),), (2, 2)), (2, 2))
+        assert min_eigenvalue(partial_transpose(product, (0,))) >= -PSD_TOL
 
     def test_singlet_fails(self):
         op = proj_op(PSI_M, (2, 2))
@@ -461,8 +461,7 @@ class TestSeparableDualTraceProperty:
         for k in range(100):
             op = random_psd(rng, (2, 2), rank=rng.integers(1, 5))
             if k % 2 == 1:
-                mat = partial_transpose(op.matrix, (0,), dims=(2, 2))
-                op = HermitianOperator(mat, DimVector((2, 2)))
+                op = partial_transpose(op, (0,))
             assert np.abs(op.matrix).max() > 1e-12
             assert op.trace > 1e-12
 
@@ -504,7 +503,7 @@ class TestZeroGenerator:
         dims = DimVector((2, 2))
         zero = HermitianOperator(np.zeros((4, 4)), dims)
         with pytest.raises(ValueError, match="generator 1 is zero"):
-            ConeGenerators(dims, (identity(dims), zero))
+            ConeGenerators(dims, (HermitianOperator(np.eye(4), dims), zero))
 
     def test_cone_file_is_a_schema_error(self, tmp_path):
         ensemble, _ = build_example1()

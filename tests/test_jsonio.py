@@ -974,6 +974,9 @@ class TestDecodeEquivalence:
     @example({"side": 1, "rows": [0], "cols": [0], "re": [10**400], "im": [0.0]})
     @example({"side": 1, "rows": [0], "cols": [0], "re": [1.0], "im": [True]})
     @example({"side": 3, "rows": [], "cols": [], "re": [], "im": []})
+    # sides numpy refuses at once, with ValueError and with MemoryError
+    @example({"side": 2147483647, "rows": [0], "cols": [0], "re": [1.0], "im": [0.0]})
+    @example({"side": 16777216, "rows": [], "cols": [], "re": [], "im": []})
     def test_matrix_from_json(self, data):
         expected = _outcome(lambda: reference_matrix_from_json(data, "m"))
         assert _outcome(lambda: matrix_from_json(data, "m")) == expected
@@ -983,6 +986,13 @@ class TestDecodeEquivalence:
     @example([[[[1.0, 0.0]]], [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])
     @example([[[[1.0, 0.0]]], [[["x", 0.0]]], [[[None, 0.0]]]])
     @example([[[[1.0, 0.0]]], {"side": 1, "rows": [0], "cols": [0], "re": [-0.0], "im": [2]}, [[[0.0, 1.0]]]])
+    @example(
+        [
+            _coordinates(np.eye(2)),
+            {"side": 2147483647, "rows": [], "cols": [], "re": [], "im": []},
+            _coordinates(np.eye(2)),
+        ]
+    )
     def test_matrices_from_json(self, data):
         expected = _outcome(lambda: tuple(reference_matrix_from_json(m, f"f[{k}]") for k, m in enumerate(data)))
         assert _outcome(lambda: matrices_from_json(data, "f")) == expected
@@ -995,6 +1005,7 @@ class TestDecodeEquivalence:
     # two rules broken at once: rows before cols, re before im
     @example([[_coordinates(np.eye(2))], [{"side": 2, "rows": [2], "cols": [-1], "re": [1.0], "im": [0.0]}]])
     @example([[{"side": 2, "rows": [0], "cols": [0], "re": [math.inf], "im": ["1"]}, _coordinates(np.eye(2))]])
+    @example([[_coordinates(np.eye(2))], [{"side": 2147483647, "rows": [1], "cols": [2], "re": [1.0], "im": [0.0]}]])
     def test_matrix_groups_from_json(self, groups):
         expected = _outcome(
             lambda: tuple(
@@ -1095,8 +1106,8 @@ class TestNonFiniteInputs:
         ensemble, _ = build_example1()
         for bad in (math.nan, math.inf):
             priors = (bad, *ensemble.priors[1:])
-            report = validate_ensemble(Ensemble(ensemble.dims, priors, ensemble.states))
-            assert not report.ok and "prior 1" in str(report)
+            violations = validate_ensemble(Ensemble(ensemble.dims, priors, ensemble.states))
+            assert any("prior 1" in v for v in violations)
 
     def test_nan_residual_fails_the_report(self):
         report = VerificationReport(tolerance=1e-8, residuals={"7a": 0.0, "7d": math.nan})

@@ -71,7 +71,9 @@ def _ref_smat(vec, side):
     off = (vec[side : side + k] + 1j * vec[side + k :]) / _SQRT2
     out[diag, diag] = vec[:side]
     out[rows, cols] = off
-    out[cols, rows] = off.conj()
+    low = off.conj()
+    low.imag += 0.0
+    out[cols, rows] = low
     return out
 
 

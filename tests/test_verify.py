@@ -19,7 +19,6 @@ from udbound import (
     check_no_error,
     example_cone_generators,
     hs_inner,
-    identity,
     load_certificate,
     load_cones,
     load_ensemble,
@@ -70,7 +69,7 @@ class TestCheckNoError:
     def test_uniform_element_fails_with_quarter_residual(self, example1):
         ensemble, fixtures, _ = example1
         elements = list(fixtures.global_measurement.elements)
-        elements[1] = 0.25 * identity(ensemble.dims)
+        elements[1] = HermitianOperator(0.25 * np.eye(4), ensemble.dims)
         broken = Measurement(ensemble.dims, tuple(elements))
         report = check_no_error(ensemble, broken, tol=1e-8)
         assert not report.passed
@@ -156,7 +155,7 @@ class TestVerifySeparableCertificate:
         certificate = HermitianOperator(0.5 * (v00.projector().matrix + v11.projector().matrix), dims)
         e0 = np.array([[1.0, 0.0], [0.0, 0.0]])
         e1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-        m0 = identity(dims) - v00.projector() - v11.projector()
+        m0 = HermitianOperator(np.eye(4), dims) - v00.projector() - v11.projector()
         m0_dec = SeparableDecomposition(((e0, e1), (e1, e0)))
         measurement = Measurement(
             dims,
@@ -206,7 +205,7 @@ class TestVerifySeparableCertificate:
 
     def test_indefinite_certificate_reported_unverified(self, example1):
         ensemble, fixtures, cones = example1
-        indefinite = fixtures.sep_certificate - 0.05 * identity(ensemble.dims)
+        indefinite = fixtures.sep_certificate - 0.05 * HermitianOperator(np.eye(4), ensemble.dims)
         report = verify_separable_certificate(
             ensemble, fixtures.locc_measurement, indefinite, cones, tol=1e-8
         )
