@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .cones import example_cone_generators, load_cones, save_cones
 from .ensembles import (
+    DIM_CAP,
     build_example1,
     build_example2,
     load_ensemble,
@@ -35,8 +36,6 @@ from .verify import (
     verify_separable_certificate,
 )
 
-DEFAULT_DIM_CAP = 1024
-
 _STATUS_EXIT = {"optimal": 0, "max_iterations": 3, "infeasible": 4, "unbounded": 4}
 
 
@@ -47,7 +46,7 @@ def _fmt(x: float) -> str:
 def _dim_cap() -> int:
     raw = os.environ.get("UDBOUND_DIM_CAP")
     if raw is None:
-        return DEFAULT_DIM_CAP
+        return DIM_CAP
     try:
         return int(raw)
     except ValueError as exc:

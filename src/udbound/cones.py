@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ensembles import _EXAMPLE1_VECTORS, Ensemble, _frozen_factors
+from .ensembles import _EXAMPLE1_VECTORS, _TERM_FACTOR, Ensemble, _frozen_factors
 from .jsonio import (
     SchemaError,
     dims_from_json,
@@ -75,8 +75,8 @@ class ConeGenerators:
             if form is None:
                 frozen_forms.append(None)
                 continue
-            (factors,) = _frozen_factors((form,))
             try:
+                (factors,) = _frozen_factors((form,), _TERM_FACTOR)
                 prod = kron_sum((factors,), self.dims.dims)
             except ValueError as exc:
                 raise ValueError(f"generator {k} product form: {exc}") from exc

@@ -34,6 +34,7 @@ from .operators import (
     DimVector,
     HermitianOperator,
     StateVector,
+    _hermitian_parts,
     basis_state,
     kron_sum,
     min_eigenvalue,
@@ -52,6 +53,10 @@ _EXAMPLE1_VECTORS = {
     "mu_p": np.array([_SQ3 / 2, 0.5]),
     "mu_m": np.array([_SQ3 / 2, -0.5]),
 }
+#: largest total dimension build_example2 builds unless told otherwise (the CLI reads UDBOUND_DIM_CAP)
+DIM_CAP = 1024
+#: how an error names a factor of a decomposition term or a product form, the latter as term 0
+_TERM_FACTOR = "term {group} factor {member}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,16 +85,24 @@ class Ensemble:
         return tuple(zip(self.priors, self.states))
 
 
-def _frozen_factors(groups) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Read-only complex copies of nested factor lists (decomposition terms, site POVMs), one copy per shape."""
+def _frozen_factors(groups, name: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Checked, read-only Hermitian parts of nested factor lists (decomposition terms, site POVMs), one stack per shape.
+
+    Every factor obeys the operator rule (see ``operators._hermitian_parts``);
+    an error names the factor by ``name.format(group=g, member=m)``.
+    """
     groups = [tuple(group) for group in groups]
     flat = list(itertools.chain.from_iterable(groups))
+
+    def where(k: int) -> str:
+        g, m = [(g, m) for g, group in enumerate(groups) for m in range(len(group))][k]
+        return name.format(group=g, member=m) + ": "
+
     shapes: dict[tuple[int, ...], list[int]] = {}
     for k, f in enumerate(flat):
         shapes.setdefault(np.shape(f), []).append(k)
     for idx in shapes.values():
-        stack = np.array([flat[k] for k in idx], dtype=np.complex128)
-        stack.setflags(write=False)
+        stack = _hermitian_parts(np.array([flat[k] for k in idx], dtype=np.complex128), lambda j: where(idx[j]))
         for k, f in zip(idx, stack):
             flat[k] = f
     ends = itertools.accumulate(map(len, groups))
@@ -103,7 +116,7 @@ class SeparableDecomposition:
     terms: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _frozen_factors(self.terms))
+        object.__setattr__(self, "terms", _frozen_factors(self.terms, _TERM_FACTOR))
 
     def reconstruct(self, dims: DimVector) -> np.ndarray:
         return kron_sum(self.terms, dims.dims)
@@ -131,7 +144,8 @@ class LoccProtocol:
     default_element: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "site_povms", _frozen_factors(self.site_povms))
+        site_povms = _frozen_factors(self.site_povms, "local POVM element {member} at site {group}")
+        object.__setattr__(self, "site_povms", site_povms)
         object.__setattr__(
             self, "assignment", {tuple(int(i) for i in k): int(v) for k, v in self.assignment.items()}
         )
@@ -185,7 +199,7 @@ class Measurement:
         return float(np.abs(total - np.eye(self.dims.total)).max())
 
     def psd_residual(self) -> float:
-        return nan_max(psd_violation(el) for el in self.elements)
+        return max(psd_violation(el) for el in self.elements)
 
 
 def validate_ensemble(ensemble: Ensemble) -> tuple[str, ...]:
@@ -319,7 +333,7 @@ def build_example1() -> tuple[Ensemble, ExampleFixtures]:
     return ensemble, fixtures
 
 
-def build_example2(d: int, dim_cap: int = 1024) -> tuple[Ensemble, ExampleFixtures]:
+def build_example2(d: int, dim_cap: int = DIM_CAP) -> tuple[Ensemble, ExampleFixtures]:
     """Family of d equal-prior mixed states on (d-1) qudits, d >= 3.
 
     State j's aligned vector is the basis string |j...j>; its shifted
@@ -467,7 +481,11 @@ def _decomposition_to_json(dec: SeparableDecomposition) -> dict:
 def _decomposition_from_json(data: Any, field_name: str) -> SeparableDecomposition:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise SchemaError(f"{field_name}: expected an object with a 'terms' list")
-    return SeparableDecomposition(matrix_groups_from_json(data["terms"], f"{field_name}.terms"))
+    terms = matrix_groups_from_json(data["terms"], f"{field_name}.terms")
+    try:
+        return SeparableDecomposition(terms)
+    except ValueError as exc:
+        raise SchemaError(f"{field_name}: {exc}") from exc
 
 
 def _protocol_to_json(protocol: LoccProtocol) -> dict:
@@ -510,7 +528,10 @@ def _protocol_from_json(data: Any, field_name: str) -> LoccProtocol:
     default = data.get("default_element", 0)
     if not _is_int(default):
         raise SchemaError(f"{field_name}.default_element: expected an integer")
-    return LoccProtocol(desc, tuple(povms), assignment, default)
+    try:
+        return LoccProtocol(desc, tuple(povms), assignment, default)
+    except ValueError as exc:
+        raise SchemaError(f"{field_name}: {exc}") from exc
 
 
 def measurement_to_dict(measurement: Measurement) -> dict:

@@ -1,15 +1,16 @@
 """Dense complex Hermitian linear algebra on multipartite spaces.
 
-Operators carry their local-dimension signature, and constructors reject
-non-finite entries and inputs beyond the Hermiticity limit, then
-symmetrize.  All values are immutable; every function here is pure.
+Operators carry their local-dimension signature.  Operators and the local
+factors of decompositions, protocols and product forms obey one validity
+rule, checked where they are built: finite, within the Hermiticity limit,
+then symmetrized.  All values are immutable; every function here is pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -56,40 +57,56 @@ def _as_dims(dims: Union[DimVector, Sequence[int]]) -> DimVector:
     return dims if isinstance(dims, DimVector) else DimVector(tuple(dims))
 
 
+def _hermitian_parts(stack: np.ndarray, name: Callable[[int], str] = lambda k: "") -> np.ndarray:
+    """The read-only Hermitian parts (A + A^dag)/2 of a complex (count, side, side) stack.
+
+    The one validity rule for operators and local factors: square, finite,
+    within ``HERMITICITY_LIMIT`` of the adjoint entrywise, and a Hermitian
+    part that does not overflow.  The first matrix k that breaks it raises
+    ``ValueError`` led by ``name(k)``.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"{name(0)}matrix must be square, got shape {stack.shape[1:]}")
+    adj = stack.conj().swapaxes(1, 2)
+    # a non-finite entry makes its deviation NaN or inf (inf - inf is NaN, quietly); huge finite ones overflow the sum
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviation = np.abs(stack - adj)
+        herm = (stack + adj) / 2
+    if not (deviation.max(initial=0.0) <= HERMITICITY_LIMIT and np.isfinite(herm).all()):
+        worst = deviation.max(axis=(1, 2))
+        k = int(np.flatnonzero(~((worst <= HERMITICITY_LIMIT) & np.isfinite(herm).all(axis=(1, 2))))[0])
+        entries = np.argwhere(~np.isfinite(stack[k]))
+        if entries.size:
+            row, col = (int(i) for i in entries[0])
+            raise ValueError(f"{name(k)}matrix entry ({row}, {col}) is {stack[k, row, col]}, not finite")
+        if not worst[k] <= HERMITICITY_LIMIT:
+            raise ValueError(
+                f"{name(k)}hermiticity deviation {worst[k]:.3e} exceeds tolerance {HERMITICITY_LIMIT:.1e}"
+            )
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(herm[k]))[0])
+        raise ValueError(f"{name(k)}matrix entry ({row}, {col}) overflows in (A + A^dag)/2")
+    herm.setflags(write=False)
+    return herm
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A Hermitian matrix on a multipartite space.
 
-    The stored matrix is the symmetrized input (A + A^dag)/2; inputs whose
-    max-entry deviation |A - A^dag| exceeds ``HERMITICITY_LIMIT``, or with a
-    non-finite entry, are rejected.
+    The stored matrix is the symmetrized input (A + A^dag)/2; an input
+    that breaks the rule of :func:`_hermitian_parts` is rejected.
     """
 
     matrix: np.ndarray
     dims: DimVector
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
+        (mat,) = _hermitian_parts(np.asarray(self.matrix, dtype=np.complex128)[None])
         dims = _as_dims(self.dims)
         if mat.shape[0] != dims.total:
             raise ValueError(
                 f"matrix side {mat.shape[0]} does not match total dimension {dims.total}"
             )
-        # a non-finite entry makes the deviation NaN or inf (inf - inf is NaN, quietly)
-        with np.errstate(invalid="ignore"):
-            deviation = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-        if not deviation <= HERMITICITY_LIMIT:
-            bad = np.argwhere(~np.isfinite(mat))
-            if bad.size:
-                row, col = (int(k) for k in bad[0])
-                raise ValueError(f"matrix entry ({row}, {col}) is {mat[row, col]}, not finite")
-            raise ValueError(
-                f"hermiticity deviation {deviation:.3e} exceeds tolerance {HERMITICITY_LIMIT:.1e}"
-            )
-        mat = (mat + mat.conj().T) / 2
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
 
@@ -237,31 +254,25 @@ def _by_arithmetic(herm: np.ndarray) -> list[tuple[Union[slice, np.ndarray], np.
 
 
 def min_eigenvalues(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Smallest eigenvalue of each square matrix's Hermitian part; NaN if an entry is not finite.
+    """Smallest eigenvalue of each Hermitian matrix, stored as operators and local factors store them.
 
-    LAPACK does not propagate NaN: eigvalsh of [[nan, 0], [0, 1]] returns
-    [0, -0], which would read as PSD.  A Hermitian part with no imaginary
-    entry is decomposed in real arithmetic, several times faster.  One
-    batched ``eigvalsh`` per side and arithmetic gives each matrix the
-    value it gets alone, bit for bit.
+    A matrix with no imaginary entry is decomposed in real arithmetic,
+    several times faster.  One batched ``eigvalsh`` per side and arithmetic
+    gives each matrix the value it gets alone, bit for bit.
     """
-    out = np.full(len(mats), math.nan)
+    out = np.empty(len(mats))
     sides: dict[int, list[int]] = {}
     for k, m in enumerate(mats):
         sides.setdefault(m.shape[0], []).append(k)
     for idx in map(np.array, sides.values()):
-        stack = mats[idx[0]][None] if len(idx) == 1 else np.stack([mats[k] for k in idx])
-        if not np.isfinite(stack).all():
-            finite = np.isfinite(stack).all(axis=(1, 2))
-            idx, stack = idx[finite], stack[finite]
-        for rows, herm in _by_arithmetic((stack + stack.conj().swapaxes(1, 2)) / 2):
+        for rows, herm in _by_arithmetic(np.stack([mats[k] for k in idx])):
             out[idx[rows]] = np.linalg.eigvalsh(herm)[:, 0]
     return out
 
 
-def min_eigenvalue(op: Union[HermitianOperator, np.ndarray]) -> float:
-    """:func:`min_eigenvalues` of one operator or square matrix."""
-    return float(min_eigenvalues((op.matrix if isinstance(op, HermitianOperator) else np.asarray(op),))[0])
+def min_eigenvalue(op: HermitianOperator) -> float:
+    """:func:`min_eigenvalues` of one operator."""
+    return float(min_eigenvalues((op.matrix,))[0])
 
 
 def psd_part(stack: np.ndarray) -> np.ndarray:
@@ -279,9 +290,9 @@ def nan_max(values: Iterable[float]) -> float:
     return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
-def psd_violation(op: Union[HermitianOperator, np.ndarray]) -> float:
-    """max(0, -smallest eigenvalue); NaN for a non-finite operator, so it fails ``<= tol``."""
-    return nan_max((0.0, -min_eigenvalue(op)))
+def psd_violation(op: HermitianOperator) -> float:
+    """max(0, -smallest eigenvalue)."""
+    return max(0.0, -min_eigenvalue(op))
 
 
 def compress(op: HermitianOperator, basis: np.ndarray) -> HermitianOperator:

@@ -185,8 +185,8 @@ def _sep_dual_entry(certificate: HermitianOperator, tol: float):
     the condition is reported as unverified rather than failed.
     """
     lo = min_eigenvalue(certificate)
-    if not lo < -tol:  # PSD within tol, or NaN: a failing residual, not an unverified one
-        return nan_max((0.0, -lo)), None, {}
+    if lo >= -tol:
+        return max(0.0, -lo), None, {}
     cut_detail = {"psd": lo}
     for cut in _canonical_cuts(certificate.dims.sites):
         lo_cut = min_eigenvalue(partial_transpose(certificate, cut))

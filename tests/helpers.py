@@ -107,6 +107,34 @@ def mixed_shape_protocol(ensemble, fixtures):
     return Measurement(ensemble.dims, locc.elements, locc_protocol=mixed)
 
 
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+#: the two-qubit singlet |Psi->
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+
+def unhermitian_singlet_terms():
+    """Terms A (x) A and A^dag (x) A^dag, A = I/sqrt6 + i sigma_k/sqrt2 for k = x, y, z.
+
+    They sum to the entangled 4|Psi-><Psi-|, and each factor's Hermitian
+    part I/sqrt6 is PSD: read only through Hermitian parts, they certify an
+    entangled element as separable.
+    """
+    terms = []
+    for sigma in PAULIS:
+        a = np.eye(2) / math.sqrt(6.0) + 1j * sigma / math.sqrt(2.0)
+        terms += [(a, a), (a.conj().T, a.conj().T)]
+    return terms
+
+
+def unhermitian_singlet_povm():
+    """The "local POVM" {I/6 + i sigma_k/(2 sqrt3), I/6 - i sigma_k/(2 sqrt3)} for k = x, y, z.
+
+    Its six elements sum to I and have PSD Hermitian parts; on two qubits its
+    matched outcomes (e, e) sum to the entangled (2/3)|Psi-><Psi-|.
+    """
+    return [np.eye(2) / 6 + sign * 1j * sigma / (2 * math.sqrt(3.0)) for sigma in PAULIS for sign in (1, -1)]
+
+
 def idp_oracle(psi1: StateVector, psi2: StateVector, prior1: float) -> float:
     """Brute-force optimum for unambiguously telling two pure states apart.
 
@@ -291,11 +319,8 @@ def reference_matrix_from_json(data, field):
 
 
 def reference_min_eigenvalue(mat):
-    """The one-matrix smallest eigenvalue: NaN if not finite, Hermitian part, real path iff imag is exactly 0."""
+    """The one-matrix smallest eigenvalue of a Hermitian matrix: real path iff imag is exactly 0."""
     mat = np.asarray(mat)
-    if not np.isfinite(mat).all():
-        return math.nan
-    mat = (mat + mat.conj().T) / 2
     if not mat.imag.any():
         mat = mat.real
     return float(np.linalg.eigvalsh(mat)[0])

@@ -11,12 +11,19 @@ import pytest
 
 import udbound
 from udbound import load_certificate, save_certificate, save_ensemble, save_measurement
-from udbound.jsonio import write_json
+from udbound.jsonio import matrix_to_json, write_json
 from udbound import cli
 from udbound.cli import main
 from udbound.ensembles import Ensemble, build_example1, build_two_pure, measurement_to_dict
 from udbound.operators import DimVector, HermitianOperator, StateVector, basis_state
-from helpers import forged_global_as_protocol, forged_global_as_separable, mixed_shape_protocol, one_site_global
+from helpers import (
+    forged_global_as_protocol,
+    forged_global_as_separable,
+    mixed_shape_protocol,
+    one_site_global,
+    unhermitian_singlet_povm,
+    unhermitian_singlet_terms,
+)
 
 
 @pytest.fixture()
@@ -417,6 +424,31 @@ class TestVerifyCommand:
         write_json(bad, payload)
         assert self._cor3(example1_files, bad) == 2
         assert "locc_protocol.description: expected a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("elements[1].decomposition", "term 0 factor 0: hermiticity deviation 1.414e+00 exceeds tolerance 1.0e-08"),
+            ("locc_protocol", "local POVM element 0 at site 0: hermiticity deviation 5.774e-01 exceeds tolerance 1.0e-08"),
+        ],
+        ids=["decomposition", "locc_protocol"],
+    )
+    @pytest.mark.parametrize("kind", ["thm3", "cor3"])
+    def test_non_hermitian_factors_are_input_error(self, example1_files, capsys, kind, field, message):
+        # factors with PSD Hermitian parts that rebuild the entangled singlet
+        path = example1_files["locc_measurement"]
+        payload = json.loads(path.read_text())
+        if field == "locc_protocol":
+            povm = [matrix_to_json(e) for e in unhermitian_singlet_povm()]
+            payload["locc_protocol"]["site_povms"] = [povm, povm]
+        else:
+            terms = [[matrix_to_json(a), matrix_to_json(b)] for a, b in unhermitian_singlet_terms()]
+            payload["elements"][1]["decomposition"] = {"terms": terms}
+        write_json(path, payload)
+        argv = ["verify", kind, "--ensemble", str(example1_files["ensemble"]), "--measurement", str(path)]
+        argv += ["--certificate", str(example1_files["sep_certificate"]), "--cones", str(example1_files["cones"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}.{field}: {message}\n"
 
     def test_malformed_certificate(self, example1_files, tmp_path):
         bad = tmp_path / "bad.json"

@@ -333,6 +333,14 @@ class TestProductForm:
         with pytest.raises(ValueError, match=r"generator 0 product form: term 0 has factor shapes \[\(4, 4\), \(1, 1\)\]"):
             ConeGenerators(ensemble.dims, cone.generators, (whole, cone.product_form[1]))
 
+    def test_non_hermitian_factor_rejected(self):
+        # the generator |1><1| (x) |0><0| from factors whose Hermitian parts are right
+        dims = DimVector((2, 2))
+        skew = np.array([[0.0, 1.0], [-1.0, 1.0]])
+        generator = HermitianOperator(np.kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])), dims)
+        with pytest.raises(ValueError, match=r"^generator 0 product form: term 0 factor 0: hermiticity deviation 2\.000e\+00"):
+            ConeGenerators(dims, (generator,), ((skew, np.diag([1.0, 0.0])),))
+
     def test_load_cones_maps_wrong_side_to_schema_error(self, tmp_path):
         ensemble, _ = build_example1()
         cones = [example_cone_generators(ensemble, "example1", i) for i in range(3)]

@@ -15,8 +15,6 @@ from udbound import (
     DimVector,
     Ensemble,
     HermitianOperator,
-    Measurement,
-    PrecheckError,
     SchemaError,
     SeparableDecomposition,
     VerificationReport,
@@ -35,7 +33,6 @@ from udbound import (
     solve_separable_bound,
     validate_ensemble,
     verify_optimality,
-    verify_separable_certificate,
 )
 from udbound.cli import main
 from udbound.ensembles import ensemble_to_dict, measurement_from_dict, measurement_to_dict
@@ -1087,20 +1084,14 @@ class TestNonFiniteInputs:
         assert "finite [re, im] pairs" in err or "matrix.re: expected finite numbers" in err
 
     def test_nan_factor_fails_the_separability_precheck(self):
-        ensemble, fixtures = build_example1()
-        cones = [example_cone_generators(ensemble, "example1", i) for i in range(ensemble.n)]
+        # the factor check of the precheck is made where the decomposition is built
+        _, fixtures = build_example1()
         locc = fixtures.locc_measurement
         decompositions = locc.locc_protocol.derive_decompositions(locc.dims, len(locc.elements))
         factors = [np.array(f) for f in decompositions[1].terms[0]]
         factors[0][0, 0] = math.nan
-        broken = SeparableDecomposition((tuple(factors), *decompositions[1].terms[1:]))
-        measurement = Measurement(
-            locc.dims,
-            locc.elements,
-            decompositions=(decompositions[0], broken, *decompositions[2:]),
-        )
-        with pytest.raises(PrecheckError, match="element 1"):
-            verify_separable_certificate(ensemble, measurement, fixtures.sep_certificate, cones)
+        with pytest.raises(ValueError, match=r"^term 0 factor 0: matrix entry \(0, 0\) is \(nan\+0j\), not finite"):
+            SeparableDecomposition((tuple(factors), *decompositions[1].terms[1:]))
 
     def test_validate_ensemble_rejects_non_finite_priors(self):
         ensemble, _ = build_example1()

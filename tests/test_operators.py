@@ -66,6 +66,15 @@ class TestHermitianOperator:
         with pytest.raises(ValueError, match=rf"matrix entry \({entry[0]}, {entry[1]}\) is .*, not finite"):
             HermitianOperator(mat, DimVector((2,)))
 
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the overflow
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_a_hermitian_part_that_overflows(self, entry):
+        # finite and Hermitian, but (A + A^dag)/2 would store inf: no eigenvalue routine sees a non-finite entry
+        mat = np.eye(2, dtype=complex)
+        mat[entry] = mat[entry[::-1]] = 1.5e308
+        with pytest.raises(ValueError, match=rf"^matrix entry \({entry[0]}, {entry[1]}\) overflows"):
+            HermitianOperator(mat, DimVector((2,)))
+
     def test_dims_must_match_matrix(self):
         with pytest.raises(ValueError, match="total dimension"):
             HermitianOperator(np.eye(3), DimVector((2,)))
@@ -213,11 +222,12 @@ class TestIsPsd:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((12, 12))
         mat = (a + a.T).astype(np.complex128)
-        assert min_eigenvalue(mat) == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-12)
+        assert min_eigenvalue(HermitianOperator(mat, (12,))) == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-12)
 
     def test_imaginary_part_is_kept(self):
         # the real part alone is the identity, whose smallest eigenvalue is 1
-        assert min_eigenvalue(np.array([[1.0, 1.0j], [-1.0j, 1.0]])) == pytest.approx(0.0, abs=1e-12)
+        op = HermitianOperator(np.array([[1.0, 1.0j], [-1.0j, 1.0]]), (2,))
+        assert min_eigenvalue(op) == pytest.approx(0.0, abs=1e-12)
 
 
 def _factor(rng, side, kind):
@@ -236,7 +246,22 @@ def _factor(rng, side, kind):
     return mat
 
 
-FACTOR_KINDS = ["real", "real in complex", "psd", "complex", "nan", "inf"]
+HERMITIAN_KINDS = ["real", "real in complex", "psd", "complex"]
+FACTOR_KINDS = HERMITIAN_KINDS + ["nan", "inf"]
+
+
+def _hermitian_or_rejected(mat, kind):
+    """The stored matrix of an operator built from ``mat``; for a non-finite or non-Hermitian kind, None
+    after checking that both an operator and a decomposition factor reject it."""
+    side = len(mat)
+    if kind in HERMITIAN_KINDS:
+        return HermitianOperator(mat, (side,)).matrix
+    message = "not finite" if kind in ("nan", "inf") else "hermiticity deviation"
+    with pytest.raises(ValueError, match=message):
+        HermitianOperator(mat, (side,))
+    with pytest.raises(ValueError, match="^term 0 factor 0: .*" + message):
+        SeparableDecomposition(((mat,),))
+    return None
 
 
 def _float_bits(values):
@@ -244,7 +269,10 @@ def _float_bits(values):
 
 
 class TestStackedMinEigenvalues:
-    """One batched eigvalsh per side and kind gives each matrix the value it gets alone, bit for bit."""
+    """One batched eigvalsh per side and kind gives each matrix the value it gets alone, bit for bit.
+
+    Non-finite matrices never reach it: operators and local factors reject them when built.
+    """
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -253,10 +281,11 @@ class TestStackedMinEigenvalues:
     )
     def test_matches_one_matrix_at_a_time(self, specs, seed):
         rng = np.random.default_rng(seed)
-        mats = [_factor(rng, side, kind) for side, kind in specs]
+        mats = [_hermitian_or_rejected(_factor(rng, side, kind), kind) for side, kind in specs]
+        mats = [m for m in mats if m is not None]
         expected = _float_bits([reference_min_eigenvalue(m) for m in mats])
         assert np.array_equal(_float_bits(min_eigenvalues(mats)), expected)
-        assert np.array_equal(_float_bits([min_eigenvalue(m) for m in mats]), expected)
+        assert np.array_equal(_float_bits([min_eigenvalue(HermitianOperator(m, (len(m),))) for m in mats]), expected)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(FACTOR_KINDS), min_size=2, max_size=12), st.integers(0, 2**32 - 1))
@@ -264,13 +293,15 @@ class TestStackedMinEigenvalues:
         # factors of sides 2 and 3, term by term, against the residual built from one check per factor
         rng = np.random.default_rng(seed)
         terms = tuple((_factor(rng, 2, a), _factor(rng, 3, b)) for a, b in zip(kinds[::2], kinds[1::2]))
+        if any(kind in ("nan", "inf") for kind in kinds[: 2 * len(terms)]):
+            with pytest.raises(ValueError, match=r"^term \d+ factor [01]: matrix entry .* not finite"):
+                SeparableDecomposition(terms)
+            return
         dec = SeparableDecomposition(terms)
         target = random_hermitian(rng, (2, 3))
-        with np.errstate(invalid="ignore"):  # an inf factor meets zeros in the reconstruction
-            worst = float(np.abs(dec.reconstruct(target.dims) - target.matrix).max())
-            residual = dec.residual(target)
+        worst = float(np.abs(dec.reconstruct(target.dims) - target.matrix).max())
         expected = nan_max([worst, *(nan_max((0.0, -reference_min_eigenvalue(f))) for t in dec.terms for f in t)])
-        assert _float_bits(residual) == _float_bits(expected)
+        assert _float_bits(dec.residual(target)) == _float_bits(expected)
 
     def test_product_form_with_a_non_psd_factor_is_rejected(self):
         dims = DimVector((2, 2))
@@ -292,11 +323,11 @@ class TestOneSpectralRule:
             mat = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
         else:
             mat = _factor(rng, side, kind)
-        expected = _float_bits(reference_min_eigenvalue(mat))
-        assert _float_bits(min_eigenvalue(mat)) == expected
-        if np.isfinite(mat).all() and kind != "not hermitian":
-            op = HermitianOperator(mat, DimVector((side,)))
-            assert _float_bits(min_eigenvalue(op)) == _float_bits(reference_min_eigenvalue(op.matrix))
+        stored = _hermitian_or_rejected(mat, kind)
+        if stored is not None:
+            expected = _float_bits(reference_min_eigenvalue(stored))
+            assert _float_bits(min_eigenvalue(HermitianOperator(mat, DimVector((side,))))) == expected
+            assert _float_bits(min_eigenvalues([stored])[0]) == expected
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(

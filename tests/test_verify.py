@@ -23,7 +23,6 @@ from udbound import (
     load_cones,
     load_ensemble,
     load_measurement,
-    min_eigenvalue,
     nlwe_witness,
     save_certificate,
     save_cones,
@@ -35,11 +34,14 @@ from udbound import (
     verify_separable_certificate,
 )
 from helpers import (
+    SINGLET,
     forged_global_as_protocol,
     forged_global_as_separable,
     mixed_shape_protocol,
     one_site_global,
     random_psd,
+    unhermitian_singlet_povm,
+    unhermitian_singlet_terms,
 )
 
 
@@ -319,6 +321,28 @@ class TestForgedProductStructure:
             verify_locc_equality(ensemble, forged, fixtures.global_certificate, cones)
 
 
+class TestNonHermitianFactors:
+    """Local factors obey the operator rule: non-Hermitian ones whose Hermitian parts are PSD rebuild the
+    entangled singlet, so they would certify it as separable, or as reached by a local protocol."""
+
+    def test_decomposition_of_the_singlet_is_rejected(self):
+        terms = unhermitian_singlet_terms()
+        rebuilt = sum(np.kron(a, b) for a, b in terms)
+        assert np.abs(rebuilt - 4 * np.outer(SINGLET, SINGLET)).max() < 1e-15
+        with pytest.raises(ValueError, match=r"^term 0 factor 0: hermiticity deviation 1\.414e\+00 exceeds tolerance"):
+            SeparableDecomposition(tuple(terms))
+
+    def test_local_povm_of_the_singlet_is_rejected(self):
+        povm = unhermitian_singlet_povm()
+        assert np.abs(sum(povm) - np.eye(2)).max() < 1e-15
+        rebuilt = sum(np.kron(e, e) for e in povm)
+        assert np.abs(rebuilt - (2 / 3) * np.outer(SINGLET, SINGLET)).max() < 1e-15
+        with pytest.raises(
+            ValueError, match=r"^local POVM element 0 at site 0: hermiticity deviation 5\.774e-01 exceeds tolerance"
+        ):
+            LoccProtocol("singlet", (povm, povm), {(e, e): 1 for e in range(len(povm))})
+
+
 class TestDimsMustMatchTheEnsemble:
     """example1's entangled optimum on one site of side 4: every factor fits that site, none fits 2x2."""
 
@@ -473,7 +497,7 @@ class TestReproducibilityFromSerializedInputs:
 
 
 class TestNanOperators:
-    """A NaN entry fails every PSD check on a bare array, and no operator holds one.
+    """No operator or local factor holds a NaN entry: each is rejected where it is built.
 
     LAPACK alone reads these matrices as PSD.
     """
@@ -486,9 +510,10 @@ class TestNanOperators:
     @pytest.mark.parametrize("mat", NAN_MATRICES)
     def test_not_psd(self, mat):
         mat = np.array(mat, dtype=np.complex128)
-        assert math.isnan(min_eigenvalue(mat))
         with pytest.raises(ValueError, match="not finite"):
             HermitianOperator(mat, DimVector((len(mat),)))
+        with pytest.raises(ValueError, match=r"^term 0 factor 1: matrix entry \(\d, \d\) is \(nan\+0j\), not finite"):
+            SeparableDecomposition(((np.eye(1), mat),))
 
     def test_nan_element_is_rejected(self, example1):
         ensemble, fixtures, _ = example1
@@ -503,15 +528,8 @@ class TestNanOperators:
         nan_element = np.array(protocol.site_povms[0][0])
         nan_element[1, 1] = math.nan
         site0 = (nan_element,) + protocol.site_povms[0][1:]
-        broken = LoccProtocol(protocol.description, (site0, protocol.site_povms[1]), protocol.assignment)
-        mutated = Measurement(
-            ensemble.dims,
-            fixtures.locc_measurement.elements,
-            decompositions=fixtures.locc_measurement.decompositions,
-            locc_protocol=broken,
-        )
-        with pytest.raises(ProtocolError):
-            verify_locc_equality(ensemble, mutated, fixtures.sep_certificate, cones)
+        with pytest.raises(ValueError, match=r"^local POVM element 0 at site 0: matrix entry \(1, 1\) is \(nan\+0j\), not finite"):
+            LoccProtocol(protocol.description, (site0, protocol.site_povms[1]), protocol.assignment)
 
     def test_nan_certificate_is_rejected(self, example1):
         ensemble, fixtures, _ = example1
