@@ -15,7 +15,6 @@ from .cones import (
     cones_from_dict,
     cones_to_dict,
     example_cone_generators,
-    in_generated_dual,
     is_product_state,
     load_cones,
     save_cones,
@@ -41,7 +40,6 @@ from .operators import (
     HermitianOperator,
     StateVector,
     basis_state,
-    compress,
     hs_inner,
     min_eigenvalue,
     partial_transpose,
@@ -88,13 +86,11 @@ __all__ = [
     "build_two_pure",
     "certify_unique_product_ray",
     "check_no_error",
-    "compress",
     "conclusive_subspace",
     "cones_from_dict",
     "cones_to_dict",
     "example_cone_generators",
     "hs_inner",
-    "in_generated_dual",
     "is_product_state",
     "load_certificate",
     "load_cones",

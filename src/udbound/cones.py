@@ -3,10 +3,9 @@
 For state i of an ensemble, the conclusive cone is the set of PSD operators
 that give zero probability on every other state; it equals the PSD cone
 over the joint kernel of the other states.  The separable part of that cone
-is handled through explicit finite generator lists, with a dual test
-against a generated cone, and an exact certification, from vanishing cross
-marginals, that a given product ray is the only one in a two-dimensional
-subspace.
+is handled through explicit finite generator lists, and an exact
+certification, from vanishing cross marginals, that a given product ray is
+the only one in a two-dimensional subspace.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .operators import (
     basis_state,
     hs_inner,
     kron_sum,
-    min_eigenvalue,
     min_eigenvalues,
 )
 
@@ -63,11 +61,11 @@ class ConeGenerators:
         if len(forms) != len(self.generators):
             raise ValueError("one product form slot per generator is required")
         frozen_forms = []
-        for k, (gen, form) in enumerate(zip(self.generators, forms)):
+        lows = min_eigenvalues([gen.matrix for gen in self.generators]).tolist()
+        for k, (gen, form, lo) in enumerate(zip(self.generators, forms, lows)):
             if gen.dims != self.dims:
                 raise ValueError(f"generator {k} has dims {gen.dims.dims}, expected {self.dims.dims}")
             scale = max(1.0, float(np.abs(gen.matrix).max()))
-            lo = min_eigenvalue(gen)
             if not lo >= -PSD_TOL * scale:
                 raise ValueError(f"generator {k} not PSD (min eigenvalue {lo:.3e})")
             if not np.linalg.norm(gen.matrix) > 0.0:
@@ -189,21 +187,6 @@ def conclusive_subspace(ensemble: Ensemble, i: int) -> np.ndarray:
     if not 0 <= i < ensemble.n:
         raise ValueError(f"state index {i} out of range")
     return _conclusive_bases(ensemble)[i]
-
-
-def in_generated_dual(
-    op: HermitianOperator, cone: ConeGenerators, tol: float = PSD_TOL
-) -> tuple[bool, float]:
-    """Dual test against a finitely generated cone.
-
-    Returns (member, worst) with worst the minimum of Tr(op g)/||g|| over
-    the generators; an empty generator list dualizes to everything.
-    """
-    if op.dims != cone.dims:
-        raise ValueError("operator and cone dims differ")
-    pairings = (hs_inner(op, gen) / float(np.linalg.norm(gen.matrix)) for gen in cone.generators)
-    worst = min(pairings, default=0.0)
-    return worst >= -tol, worst
 
 
 def check_no_error_cone(ensemble: Ensemble, i: int, cone: ConeGenerators, tol: float) -> None:

@@ -37,10 +37,8 @@ from .operators import (
     _hermitian_parts,
     basis_state,
     kron_sum,
-    min_eigenvalue,
     min_eigenvalues,
     nan_max,
-    psd_violation,
 )
 
 _SQ3 = math.sqrt(3.0)
@@ -89,22 +87,23 @@ def _frozen_factors(groups, name: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """Checked, read-only Hermitian parts of nested factor lists (decomposition terms, site POVMs), one stack per shape.
 
     Every factor obeys the operator rule (see ``operators._hermitian_parts``);
-    an error names the factor by ``name.format(group=g, member=m)``.
+    an error names the first bad factor by ``name.format(group=g, member=m)``.
     """
     groups = [tuple(group) for group in groups]
     flat = list(itertools.chain.from_iterable(groups))
-
-    def where(k: int) -> str:
-        g, m = [(g, m) for g, group in enumerate(groups) for m in range(len(group))][k]
-        return name.format(group=g, member=m) + ": "
-
     shapes: dict[tuple[int, ...], list[int]] = {}
     for k, f in enumerate(flat):
         shapes.setdefault(np.shape(f), []).append(k)
-    for idx in shapes.values():
-        stack = _hermitian_parts(np.array([flat[k] for k in idx], dtype=np.complex128), lambda j: where(idx[j]))
-        for k, f in zip(idx, stack):
-            flat[k] = f
+    try:
+        for idx in shapes.values():
+            stack = _hermitian_parts(np.array([flat[k] for k in idx], dtype=np.complex128))
+            for k, f in zip(idx, stack):
+                flat[k] = f
+    except ValueError:  # checked one at a time, in order, the first bad factor raises, named
+        for g, group in enumerate(groups):
+            for m, f in enumerate(group):
+                _hermitian_parts(np.array([f], dtype=np.complex128), lambda _: name.format(group=g, member=m) + ": ")
+        raise
     ends = itertools.accumulate(map(len, groups))
     return tuple(tuple(flat[end - len(group) : end]) for group, end in zip(groups, ends))
 
@@ -124,7 +123,7 @@ class SeparableDecomposition:
     def residual(self, op: HermitianOperator) -> float:
         """Max of the reconstruction error and any factor's PSD violation."""
         worst = float(np.abs(self.reconstruct(op.dims) - op.matrix).max())
-        # worst >= 0 leads the list, so each -lo stands for psd_violation's max(0, -lo)
+        # worst >= 0 leads the list, so each -lo stands for the factor's PSD violation max(0, -lo)
         lows = min_eigenvalues([f for term in self.terms for f in term])
         return nan_max([worst, *(-lows).tolist()])
 
@@ -159,18 +158,22 @@ class LoccProtocol:
         return out
 
     def reconstruct_elements(self, dims: DimVector, count: int) -> list[np.ndarray]:
-        """Coarse-grained measurement elements induced by the protocol."""
-        return [dec.reconstruct(dims) for dec in self.derive_decompositions(dims, count)]
+        """Coarse-grained measurement elements induced by the protocol, built from the frozen site POVMs."""
+        return [kron_sum(terms, dims.dims) for terms in self._grouped_terms(count)]
 
     def derive_decompositions(self, dims: DimVector, count: int) -> list[SeparableDecomposition]:
         """Per-element separable decompositions read off the product outcomes."""
+        return [SeparableDecomposition(terms) for terms in self._grouped_terms(count)]
+
+    def _grouped_terms(self, count: int) -> list[tuple[tuple[np.ndarray, ...], ...]]:
+        """Per element, the product terms (one site POVM element per site) of the outcomes assigned to it."""
         groups: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(count)]
         for outcome in itertools.product(*(range(len(p)) for p in self.site_povms)):
             target = self.assignment.get(outcome, self.default_element)
             if not 0 <= target < count:
                 raise ValueError(f"outcome {outcome} assigned to element {target} out of range")
             groups[target].append(tuple(self.site_povms[k][idx] for k, idx in enumerate(outcome)))
-        return [SeparableDecomposition(tuple(g)) for g in groups]
+        return [tuple(g) for g in groups]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +202,8 @@ class Measurement:
         return float(np.abs(total - np.eye(self.dims.total)).max())
 
     def psd_residual(self) -> float:
-        return max(psd_violation(el) for el in self.elements)
+        """The largest PSD violation max(0, -smallest eigenvalue) of an element."""
+        return max(0.0, -float(min_eigenvalues([el.matrix for el in self.elements]).min()))
 
 
 def validate_ensemble(ensemble: Ensemble) -> tuple[str, ...]:
@@ -208,12 +212,12 @@ def validate_ensemble(ensemble: Ensemble) -> tuple[str, ...]:
     total = sum(ensemble.priors)
     if abs(total - 1.0) > 1e-10:
         violations.append(f"priors sum {total:.12g}")
-    for k, (prior, rho) in enumerate(ensemble.items, start=1):
+    lows = min_eigenvalues([rho.matrix for rho in ensemble.states]).tolist()
+    for k, (prior, rho, lo) in enumerate(zip(ensemble.priors, ensemble.states, lows), start=1):
         if not math.isfinite(prior):
             violations.append(f"prior {k} is {prior!r}, not finite")
         elif prior <= 0:
             violations.append(f"prior {k} is {prior:.12g}, not positive")
-        lo = min_eigenvalue(rho)
         if not lo >= -PSD_TOL:
             violations.append(f"state {k} not PSD (min eigenvalue {lo:.3e})")
         tr = rho.trace

@@ -3,7 +3,8 @@
 Operators carry their local-dimension signature.  Operators and the local
 factors of decompositions, protocols and product forms obey one validity
 rule, checked where they are built: finite, within the Hermiticity limit,
-then symmetrized.  All values are immutable; every function here is pure.
+then symmetrized.  Tr(AB) and the smallest eigenvalues have one routine
+each, on arrays.  All values are immutable; every function here is pure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ HERMITICITY_LIMIT = 1e-8
 #: default eigenvalue threshold for positive-semidefiniteness tests
 PSD_TOL = 1e-9
 
-_ORTHONORMAL_TOL = 1e-10
 _UNIT_NORM_TOL = 1e-10
 
 
@@ -290,25 +290,13 @@ def nan_max(values: Iterable[float]) -> float:
     return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
-def psd_violation(op: HermitianOperator) -> float:
-    """max(0, -smallest eigenvalue)."""
-    return max(0.0, -min_eigenvalue(op))
-
-
-def compress(op: HermitianOperator, basis: np.ndarray) -> HermitianOperator:
-    """Compression B^dag A B onto an orthonormal column set B."""
-    basis = np.asarray(basis, dtype=np.complex128)
-    if basis.ndim != 2 or basis.shape[0] != op.side or basis.shape[1] < 1:
-        raise ValueError(f"basis shape {basis.shape} incompatible with operator side {op.side}")
-    gram = basis.conj().T @ basis
-    if np.abs(gram - np.eye(basis.shape[1])).max() > _ORTHONORMAL_TOL:
-        raise ValueError("basis columns are not orthonormal")
-    small = basis.conj().T @ op.matrix @ basis
-    return HermitianOperator(small, DimVector((basis.shape[1],)))
+def _pairing(a: np.ndarray, b: np.ndarray) -> float:
+    """Tr(AB) of two square matrices of one side; real for Hermitian inputs."""
+    return float(np.tensordot(a, b.T, axes=2).real)
 
 
 def hs_inner(a: HermitianOperator, b: HermitianOperator) -> float:
     """Hilbert-Schmidt pairing Tr(AB); real for Hermitian inputs."""
     if a.side != b.side:
         raise ValueError(f"dimension mismatch: {a.side} vs {b.side}")
-    return float(np.tensordot(a.matrix, b.matrix.T, axes=2).real)
+    return _pairing(a.matrix, b.matrix)

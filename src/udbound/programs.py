@@ -30,8 +30,8 @@ import numpy as np
 
 from .cones import ConeGenerators, conclusive_subspace, no_error_subspaces, split_support
 from .ensembles import Ensemble, Measurement
-from .operators import HermitianOperator, psd_part
-from .solver import Block, ConicProgram, Constraint, SolveReport, hermitian_basis, smat, solve
+from .operators import HermitianOperator, _pairing, psd_part
+from .solver import Block, ConicProgram, Constraint, SolveReport, _check_bounds, hermitian_basis, smat, solve
 
 
 def _constraints(stack: np.ndarray, terms: dict, rhs: list[float], sense: str = "eq") -> list[Constraint]:
@@ -48,7 +48,7 @@ def _constraints(stack: np.ndarray, terms: dict, rhs: list[float], sense: str = 
 def _matrix_equality(target: np.ndarray, terms: dict[str, float | np.ndarray]) -> list[Constraint]:
     """Scalar constraints imposing sum_b L_b(X_b) = target, one per Hermitian basis element."""
     basis = hermitian_basis(target.shape[0])
-    return _constraints(basis, terms, [float(np.tensordot(f, target.T, axes=2).real) for f in basis])
+    return _constraints(basis, terms, [_pairing(f, target) for f in basis])
 
 
 def _conclusive_data(ensemble: Ensemble):
@@ -68,8 +68,9 @@ def _conclusive_data(ensemble: Ensemble):
     return support @ joint, data
 
 
-def _zero_report(ensemble: Ensemble, tol: float, seed: int) -> SolveReport:
-    """Report of a program with nothing to solve: value 0, zero certificate."""
+def _zero_report(ensemble: Ensemble, tol: float, max_iter: int, seed: int) -> SolveReport:
+    """Report of a program with nothing to solve: value 0, zero certificate, bounds checked as by a solve."""
+    _check_bounds(tol, max_iter)
     zero = HermitianOperator(np.zeros((ensemble.dims.total,) * 2), ensemble.dims)
     residuals = dict.fromkeys(("primal", "dual", "gap"), 0.0)
     return SolveReport(
@@ -102,13 +103,13 @@ def solve_global(
         program = ConicProgram(tuple(blocks), objective, tuple(_matrix_equality(np.eye(w), terms)), sense="max")
         report = solve(program, tol=tol, max_iter=max_iter, seed=seed)
     else:
-        report = _zero_report(ensemble, tol, seed)
+        report = _zero_report(ensemble, tol, max_iter, seed)
 
     mats = [np.zeros((dims.total,) * 2, dtype=np.complex128) for _ in range(ensemble.n)]
     value = 0.0
     for i, (basis, _, _) in data.items():
         mats[i] = basis @ psd_part(report.blocks[f"x{i}"][None])[0] @ basis.conj().T
-        value += ensemble.priors[i] * float(np.tensordot(ensemble.states[i].matrix, mats[i].T, axes=2).real)
+        value += ensemble.priors[i] * _pairing(ensemble.states[i].matrix, mats[i])
     elements = [HermitianOperator(np.eye(dims.total) - sum(mats), dims)]
     elements += [HermitianOperator(mat, dims) for mat in mats]
 
@@ -153,7 +154,7 @@ def solve_separable_bound(
     support, _ = split_support(sum(cover, np.zeros((dims.total,) * 2)))
     w = support.shape[1]
     if not w:
-        return _zero_report(ensemble, tol, seed)
+        return _zero_report(ensemble, tol, max_iter, seed)
 
     blocks = [Block("h", w)]
     constraints = []
@@ -162,7 +163,7 @@ def solve_separable_bound(
         prior = ensemble.priors[i]
         basis = fallback.get(i)
         if basis is None:  # a nonempty cone: one pairing row per generator
-            rhs = [prior * float(np.tensordot(rho, g.T, axes=2).real) for g in gens]
+            rhs = [prior * _pairing(rho, g) for g in gens]
             constraints += _constraints(gens, {"h": support}, rhs, "ge")
         elif basis.shape[1]:
             blocks.append(Block(f"pos{i}", basis.shape[1]))

@@ -311,6 +311,14 @@ def _project_cone(vec: np.ndarray, groups) -> np.ndarray:
     return out
 
 
+def _check_bounds(tol: float, max_iter: int = 1) -> None:
+    """Raise ``ValueError`` naming the value unless ``tol`` is finite and > 0 and ``max_iter`` is >= 1."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def solve(
     program: ConicProgram,
     tol: float = 1e-7,
@@ -334,9 +342,11 @@ def solve(
     multipliers and residuals are scaled back to the program's own units,
     so the residuals are absolute.  Raises
     ``LinAlgError`` when the constraint rows are linearly dependent
-    (A A^T numerically singular), and ``ValueError`` when an iterate, the
-    value or a block is not finite.
+    (A A^T numerically singular), and ``ValueError`` when ``tol`` is not
+    finite and positive, ``max_iter`` is below 1, or an iterate, the value
+    or a block is not finite.
     """
+    _check_bounds(tol, max_iter)
     data = program._assembled
     A, layout = data.A, data.layout
     m, total = A.shape

@@ -2,7 +2,9 @@
 
 Every check here recomputes its residuals from the supplied operators
 alone, with no solver state, so a verdict is reproducible from serialized
-inputs.  Condition identifiers in reports are short stable keys used by
+inputs.  Checks compute on the stored matrices and build no operator; each
+condition takes its spectra from one batched ``min_eigenvalues`` call.
+Condition identifiers in reports are short stable keys used by
 downstream tooling: "3" (no-error pairings), "7a".."7d" (global-optimality
 certificate), "14a"/"14b" (bound-certificate feasibility), "16a"/"16b"
 (complementary slackness of the bound), "locc" (protocol reconstruction).
@@ -15,20 +17,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import ConeGenerators, _canonical_cuts, _conclusive_bases, check_no_error_cone, in_generated_dual
+from .cones import ConeGenerators, _canonical_cuts, _conclusive_bases, check_no_error_cone
 from .ensembles import Ensemble, Measurement
 from .operators import (
     HermitianOperator,
-    compress,
+    _pairing,
     hs_inner,
     min_eigenvalue,
     min_eigenvalues,
     nan_max,
     partial_transpose,
-    psd_violation,
 )
 from .programs import solve_global, solve_separable_bound
-from .solver import SolveReport
+from .solver import SolveReport, _check_bounds
 
 
 class PrecheckError(ValueError):
@@ -115,12 +116,12 @@ def _conditions(ids, ensemble, measurement, certificate, tol, entry, dual) -> Ve
 
     (a) the certificate C in the dual cone: ``entry(C, tol)`` gives (residual,
     or None if unverified; note; details); (b) |Tr(E_0 C)|; (c) the violation
-    of ``dual(i, C - p_i rho_i)`` >= 0 for each i; (d) |Tr(E_i (C - p_i rho_i))|.
+    of ``dual(S)[i]`` >= 0, with S the matrices S_i = C - p_i rho_i; (d) |Tr(E_i S_i)|.
     """
     res_a, note, cut_detail = entry(certificate, tol)
-    shifted = [certificate - prior * rho for prior, rho in ensemble.items]
-    detail_c = {f"i={i + 1}": nan_max((0.0, -dual(i, s))) for i, s in enumerate(shifted)}
-    detail_d = {f"i={i + 1}": abs(hs_inner(measurement.elements[i + 1], s)) for i, s in enumerate(shifted)}
+    shifted = [certificate.matrix - prior * rho.matrix for prior, rho in ensemble.items]
+    detail_c = {f"i={i + 1}": nan_max((0.0, -lo)) for i, lo in enumerate(dual(shifted))}
+    detail_d = {f"i={i + 1}": abs(_pairing(measurement.elements[i + 1].matrix, s)) for i, s in enumerate(shifted)}
     res_b = abs(hs_inner(measurement.elements[0], certificate))
     residuals = (0.0 if res_a is None else res_a, res_b, nan_max(detail_c.values()), nan_max(detail_d.values()))
     return VerificationReport(
@@ -149,13 +150,21 @@ def verify_optimality(
     certificate trace within the reported residuals.  K_i comes from the
     programs' own split, :func:`cones.no_error_subspaces`, taken once.
     """
+    _check_bounds(tol)
     _check_dims(ensemble, measurement, certificate)
     _precheck(ensemble, measurement, tol)
     bases = _conclusive_bases(ensemble)
+
+    def compressed_lows(shifted: list[np.ndarray]) -> list[float]:
+        """Smallest eigenvalue of the Hermitian part of each B_i^dag S_i B_i; 0 where K_i is empty."""
+        small = [b.conj().T @ s @ b for b, s in zip(bases, shifted)]
+        lows = iter(min_eigenvalues([(m + m.conj().T) / 2 for m in small if m.size]).tolist())
+        return [next(lows) if m.size else 0.0 for m in small]
+
     return _conditions(
         ("7a", "7b", "7c", "7d"), ensemble, measurement, certificate, tol,
-        entry=lambda c, _: (psd_violation(c), None, {}),
-        dual=lambda i, shifted: min_eigenvalue(compress(shifted, bases[i])) if bases[i].shape[1] else 0.0,
+        entry=lambda c, _: (max(0.0, -min_eigenvalue(c)), None, {}),
+        dual=compressed_lows,
     )
 
 
@@ -223,7 +232,11 @@ def _tightness(
     return _conditions(
         ("14a", "16a", "14b", "16b"), ensemble, measurement, certificate, tol,
         entry=_sep_dual_entry,
-        dual=lambda i, shifted: in_generated_dual(shifted, cones[i], tol)[1],
+        # the smallest Tr(S_i g)/||g|| over the generators g of cone i; an empty cone dualizes to everything
+        dual=lambda shifted: [
+            min((_pairing(s, g.matrix) / float(np.linalg.norm(g.matrix)) for g in cone.generators), default=0.0)
+            for s, cone in zip(shifted, cones)
+        ],
     )
 
 
@@ -247,6 +260,7 @@ def verify_separable_certificate(
     conclusive elements ("16b").  On a pass the bound equals both the
     certificate trace and the measurement's success probability.
     """
+    _check_bounds(tol)
     _check_dims(ensemble, measurement, certificate)
     return _tightness(ensemble, measurement, certificate, cones, tol, rebuilt=False)
 
@@ -300,6 +314,7 @@ def verify_locc_equality(
     the elements carry are checked again.  On a pass the locally attainable
     optimum equals the certified bound.
     """
+    _check_bounds(tol)
     _check_dims(ensemble, measurement, certificate)
     recon = _protocol_residual(measurement, tol)
     report = _tightness(ensemble, measurement, certificate, cones, tol, rebuilt=True)
@@ -349,6 +364,7 @@ def nlwe_witness(
     unless each cone i lies in the no-error cone of state i (see
     :func:`cones.check_no_error_cone`).
     """
+    _check_bounds(tol, max_iter)
     _check_cones(ensemble, cones, tol)
     global_report = solve_global(ensemble, tol=tol, max_iter=max_iter, seed=seed)
     bound_report = solve_separable_bound(ensemble, list(cones), tol=tol, max_iter=max_iter, seed=seed)

@@ -1,6 +1,6 @@
 """Shared test utilities: random instances, forged measurements, an independent two-state oracle,
 the certificate program that strong duality is checked against, a partial trace, and the reference
-encoders and decoders that faster code is checked against."""
+encoders, decoders and verifier conditions that faster code is checked against."""
 
 from __future__ import annotations
 
@@ -21,8 +21,12 @@ from udbound import (
     SeparableDecomposition,
     StateVector,
     basis_state,
+    conclusive_subspace,
+    hs_inner,
+    min_eigenvalue,
     programs,
 )
+from udbound.operators import nan_max
 
 
 def random_state_vector(rng, dims) -> StateVector:
@@ -324,6 +328,28 @@ def reference_min_eigenvalue(mat):
     if not mat.imag.any():
         mat = mat.real
     return float(np.linalg.eigvalsh(mat)[0])
+
+
+def reference_condition_details(ensemble, certificate, cones=None):
+    """The verifier's 7c details, or with ``cones`` its 14b details, on the operator path.
+
+    Each S_i = C - p_i rho_i is built as a checked ``HermitianOperator``.  For 7c, its compression
+    B_i^dag S_i B_i onto K_i is one more operator, whose smallest eigenvalue is taken alone (0 for an
+    empty K_i); for 14b, the smallest ``hs_inner`` pairing with a generator of cone i over its norm.
+    """
+    details = {}
+    for i, (prior, rho) in enumerate(ensemble.items):
+        shifted = certificate - prior * rho
+        if cones is not None:
+            gens = cones[i].generators
+            low = min((hs_inner(shifted, g) / float(np.linalg.norm(g.matrix)) for g in gens), default=0.0)
+        else:
+            basis = np.asarray(conclusive_subspace(ensemble, i), dtype=np.complex128)
+            low = 0.0
+            if basis.shape[1]:
+                low = min_eigenvalue(HermitianOperator(basis.conj().T @ shifted.matrix @ basis, (basis.shape[1],)))
+        details[f"i={i + 1}"] = nan_max((0.0, -low))
+    return details
 
 
 def _reference_from_coordinates(data, field):

@@ -468,6 +468,31 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestOutOfRangeBounds:
+    """An out-of-range ``--tol`` or ``--max-iter`` is an input error that names the value."""
+
+    def test_solve_global_with_an_infinite_tol(self, example1_files, capsys):
+        # it reported optimal with value 0 (p_G is 0.75) and exited 0
+        assert main(["solve", "global", "--ensemble", str(example1_files["ensemble"]), "--tol", "inf"]) == 2
+        assert capsys.readouterr().err == "error: tol must be finite and > 0, got inf\n"
+
+    def test_prop1_with_an_infinite_tol(self, example1_files, capsys):
+        # it passed the LOCC measurement (value 0.5, 7c = 0.3) with the separable certificate and exited 0
+        argv = ["verify", "prop1", "--ensemble", str(example1_files["ensemble"])]
+        argv += ["--measurement", str(example1_files["locc_measurement"])]
+        argv += ["--certificate", str(example1_files["sep_certificate"]), "--tol", "inf"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: tol must be finite and > 0, got inf\n"
+
+    def test_solve_global_with_no_iterations(self, example1_files, tmp_path, capsys):
+        # it wrote Infinity residuals, which is not valid JSON
+        out = tmp_path / "report.json"
+        argv = ["solve", "global", "--ensemble", str(example1_files["ensemble"]), "--max-iter", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: max_iter must be >= 1, got 0\n"
+        assert not out.exists()
+
+
 class TestTableCommand:
     def test_single_row(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -24,12 +24,12 @@ from udbound import (
     cones_to_dict,
     example_cone_generators,
     hs_inner,
-    in_generated_dual,
     is_product_state,
     load_cones,
     min_eigenvalue,
     partial_transpose,
     solve_global,
+    verify_separable_certificate,
 )
 from udbound.cones import RANK_TOL, check_no_error_cone, no_error_subspaces, split_support
 from udbound.operators import PSD_TOL, kron_sum
@@ -244,39 +244,47 @@ def test_solved_example2_outputs_keep_the_union_pattern(d):
         assert not op.matrix[outside].any()
 
 
+def _worst_pairing(op, cone):
+    """The smallest Tr(op g)/||g|| over the cone's generators g; 0 for an empty cone, whose dual is everything."""
+    return min((hs_inner(op, g) / float(np.linalg.norm(g.matrix)) for g in cone.generators), default=0.0)
+
+
 class TestInGeneratedDual:
+    """Membership in the dual of a generated cone: every normalized generator pairing is nonnegative."""
+
     def test_example1_sep_certificate_residual_zero(self):
         ensemble, fixtures = build_example1()
-        for i in range(3):
-            cone = example_cone_generators(ensemble, "example1", i)
+        cones = [example_cone_generators(ensemble, "example1", i) for i in range(3)]
+        for i, cone in enumerate(cones):
             shifted = fixtures.sep_certificate - ensemble.priors[i] * ensemble.states[i]
-            ok, worst = in_generated_dual(shifted, cone, 1e-9)
-            assert ok
-            assert abs(worst) < 1e-12
+            assert abs(_worst_pairing(shifted, cone)) < 1e-12
+        report = verify_separable_certificate(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones)
+        assert all(v < 1e-12 for v in report.details["14b"].values())
 
     def test_example2_sep_certificate_residual_zero(self):
         ensemble, fixtures = build_example2(3)
-        for i in range(3):
-            cone = example_cone_generators(ensemble, "example2", i)
+        cones = [example_cone_generators(ensemble, "example2", i) for i in range(3)]
+        for i, cone in enumerate(cones):
             shifted = fixtures.sep_certificate - ensemble.priors[i] * ensemble.states[i]
-            ok, worst = in_generated_dual(shifted, cone, 1e-9)
-            assert ok
-            assert abs(worst) < 1e-12
+            assert abs(_worst_pairing(shifted, cone)) < 1e-12
+        report = verify_separable_certificate(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones)
+        assert all(v < 1e-12 for v in report.details["14b"].values())
 
     def test_negative_identity_fails(self):
         dims = DimVector((2, 2))
         eye = HermitianOperator(np.eye(4), dims)
         cone = ConeGenerators(dims, (eye,))
-        ok, worst = in_generated_dual(-1.0 * eye, cone, 1e-9)
-        assert not ok
-        assert worst < 0
+        assert _worst_pairing(-1.0 * eye, cone) == pytest.approx(-2.0)
 
     def test_empty_generator_list_dualizes_to_everything(self):
-        dims = DimVector((2, 2))
-        cone = ConeGenerators(dims, ())
-        ok, worst = in_generated_dual(-1.0 * HermitianOperator(np.eye(4), dims), cone, 1e-9)
-        assert ok
-        assert worst == 0.0
+        # the verifier's 14b detail of a state with an empty cone is 0 whatever the certificate
+        ensemble, fixtures = build_example1()
+        dims = ensemble.dims
+        cones = [ConeGenerators(dims, ())] + [example_cone_generators(ensemble, "example1", i) for i in (1, 2)]
+        negative = HermitianOperator(-np.eye(4), dims)
+        report = verify_separable_certificate(ensemble, fixtures.locc_measurement, negative, cones)
+        assert report.details["14b"]["i=1"] == 0.0
+        assert report.details["14b"]["i=2"] > 0.0 and "14b" in report.failing
 
     def test_psd_always_member(self):
         rng = np.random.default_rng(22)
@@ -285,8 +293,7 @@ class TestInGeneratedDual:
         for _ in range(10):
             op = random_psd(rng, (2, 2), rank=2)
             for cone in cones:
-                ok, _ = in_generated_dual(op, cone, 1e-9)
-                assert ok
+                assert _worst_pairing(op, cone) >= -1e-9
 
 
 class TestExampleConeGenerators:

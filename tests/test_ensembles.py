@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from udbound import (
     save_measurement,
     validate_ensemble,
 )
+from udbound import ensembles, operators
 from udbound.ensembles import ensemble_from_dict, ensemble_to_dict, measurement_from_dict, measurement_to_dict
 from udbound.operators import PSD_TOL
 from helpers import partial_trace
@@ -101,6 +104,35 @@ class TestProductStructure:
         assert [[f.shape for f in term] for term in dec.terms] == [[(2, 2), (3, 3)], [(3, 3), (2, 2)], [(2, 2)] * 2]
         a[0, 0] = 7.0
         assert dec.terms[0][0][0, 0] == 1.0 and protocol.site_povms[0][1][0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "build", [build_example1, lambda: build_example2(3), lambda: build_example2(4)], ids=["example1", "d3", "d4"]
+    )
+    def test_protocol_elements_are_built_from_the_frozen_povms(self, build, monkeypatch):
+        # no factor is checked again: the site POVMs were frozen where the protocol was built
+        ensemble, fixtures = build()
+        protocol, count = fixtures.locc_measurement.locc_protocol, len(fixtures.locc_measurement.elements)
+        expected = [dec.reconstruct(ensemble.dims) for dec in protocol.derive_decompositions(ensemble.dims, count)]
+        checked = []
+        hermitian_parts = operators._hermitian_parts
+        def counted(stack, name=lambda k: ""):
+            checked.append(len(stack))
+            return hermitian_parts(stack, name)
+
+        for module in (operators, ensembles):
+            monkeypatch.setattr(module, "_hermitian_parts", counted)
+        rebuilt = protocol.reconstruct_elements(ensemble.dims, count)
+        assert checked == []
+        assert [m.tobytes() for m in rebuilt] == [m.tobytes() for m in expected]
+
+    def test_the_first_bad_factor_is_named_whatever_its_shape(self):
+        bad2, bad3 = np.full((2, 2), math.nan), np.full((3, 3), math.nan)
+        with pytest.raises(ValueError, match=r"^term 0 factor 1: matrix entry \(0, 0\) is \(nan\+0j\), not finite"):
+            SeparableDecomposition(((np.eye(2), bad3), (bad2, np.eye(3))))
+        with pytest.raises(ValueError, match=r"^term 0 factor 0: matrix entry \(0, 0\) is \(nan\+0j\), not finite"):
+            SeparableDecomposition(((bad2, bad3), (bad2, np.eye(3))))
+        with pytest.raises(ValueError, match=r"^local POVM element 1 at site 0: hermiticity deviation"):
+            LoccProtocol("x", ((np.eye(2), np.triu(np.ones((3, 3)))), (np.eye(2), bad3)))
 
     def test_one_by_one_factors_are_rejected(self):
         dec = SeparableDecomposition(((0.25 * np.eye(1), np.eye(1)),))

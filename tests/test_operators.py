@@ -15,10 +15,10 @@ from udbound import (
     basis_state,
     build_example1,
     build_example2,
-    compress,
     hs_inner,
     min_eigenvalue,
 )
+from udbound.cones import _conclusive_bases
 from udbound.operators import kron_sum, min_eigenvalues, nan_max, psd_part
 from helpers import partial_trace, random_hermitian, random_psd, reference_min_eigenvalue
 
@@ -360,20 +360,25 @@ class TestOneSpectralRule:
         assert psd_part(stack).tobytes() == np.stack([psd_part(m[None])[0] for m in stack]).tobytes()
 
 
+def _compress(matrix, basis):
+    """B^dag M B, the compression onto the columns of B, as the verifier forms it for condition 7c."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    return basis.conj().T @ matrix @ basis
+
+
 class TestCompress:
     def test_identity_compression(self):
         rng = np.random.default_rng(15)
         basis = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
-        small = compress(HermitianOperator(np.eye(4), (2, 2)), basis)
-        assert np.allclose(small.matrix, np.eye(2), atol=1e-12)
+        small = _compress(np.eye(4), basis)
+        assert np.allclose(small, np.eye(2), atol=1e-12)
 
     def test_example1_certificate_compresses_to_zero(self):
         ensemble, fixtures = build_example1()
         phi1 = np.array([3.0, 0.0, 0.0, -1.0]) / math.sqrt(10.0)
         basis = np.column_stack([phi1, PSI_M])
-        shifted = fixtures.global_certificate - ensemble.priors[0] * ensemble.states[0]
-        small = compress(shifted, basis)
-        assert np.abs(small.matrix).max() < 1e-12
+        shifted = fixtures.global_certificate.matrix - ensemble.priors[0] * ensemble.states[0].matrix
+        assert np.abs(_compress(shifted, basis)).max() < 1e-12
 
     def test_example2_certificate_compresses_to_zero(self):
         ensemble, fixtures = build_example2(3)
@@ -381,20 +386,21 @@ class TestCompress:
             basis = np.column_stack(
                 [fixtures.aligned_states[i].amplitudes, fixtures.shifted_states[i].amplitudes]
             )
-            shifted = fixtures.global_certificate - ensemble.priors[i] * ensemble.states[i]
-            assert np.abs(compress(shifted, basis).matrix).max() < 1e-12
+            shifted = fixtures.global_certificate.matrix - ensemble.priors[i] * ensemble.states[i].matrix
+            assert np.abs(_compress(shifted, basis)).max() < 1e-12
 
-    def test_rejects_non_orthonormal(self):
-        basis = np.column_stack([np.array([1.0, 0, 0, 0]), np.array([1.0, 1.0, 0, 0])])
-        with pytest.raises(ValueError, match="orthonormal"):
-            compress(HermitianOperator(np.eye(4), (2, 2)), basis)
+    def test_verifier_bases_are_orthonormal(self):
+        # the verifier compresses onto these bases for condition 7c, and no check re-tests them
+        for ensemble in (build_example1()[0], build_example2(3)[0], build_example2(4)[0]):
+            for basis in _conclusive_bases(ensemble):
+                assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-10
 
     def test_preserves_psd(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             op = random_psd(rng, (2, 2), rank=3)
             q = np.linalg.qr(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))[0]
-            assert np.linalg.eigvalsh(compress(op, q).matrix)[0] >= -1e-12
+            assert np.linalg.eigvalsh(_compress(op.matrix, q))[0] >= -1e-12
 
 
 class TestHsInner:

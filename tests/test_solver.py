@@ -287,6 +287,37 @@ class TestSolveToys:
         assert report.status == "max_iterations"
         assert report.iterations == 2
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": math.inf}, "tol must be finite and > 0, got inf"),
+            ({"tol": math.nan}, "tol must be finite and > 0, got nan"),
+            ({"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
+            ({"tol": -1e-7}, "tol must be finite and > 0, got -1e-07"),
+            ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+            ({"max_iter": -5}, "max_iter must be >= 1, got -5"),
+        ],
+    )
+    def test_out_of_range_bounds_are_rejected(self, kwargs, message):
+        # at tol=inf the first iterate is "optimal"; at max_iter=0 the residuals were never computed
+        e00 = np.zeros((2, 2), dtype=complex)
+        e00[0, 0] = 1.0
+        program = ConicProgram(
+            (Block("x", 2),), {"x": np.eye(2, dtype=complex)}, (Constraint({"x": e00}, 1.0),)
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(program, **kwargs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_global(build_example1()[0], **kwargs)
+        # full-rank states: no conclusive state, and both programs report value 0 without a solve
+        dims = DimVector((2,))
+        states = (HermitianOperator(np.eye(2) / 2, dims), HermitianOperator(np.diag([0.7, 0.3]), dims))
+        ensemble = Ensemble(dims, (0.5, 0.5), states)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_global(ensemble, **kwargs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_separable_bound(ensemble, [ConeGenerators(dims, ())] * 2, **kwargs)
+
     def test_unbounded_without_constraints(self):
         # X = 0 is feasible and Tr(-X) decreases without limit: unbounded, not infeasible
         for sign, status in ((-1.0, "unbounded"), (1.0, "optimal")):

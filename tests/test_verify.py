@@ -28,18 +28,24 @@ from udbound import (
     save_cones,
     save_ensemble,
     save_measurement,
+    solve_global,
     solve_separable_bound,
     verify_locc_equality,
     verify_optimality,
     verify_separable_certificate,
 )
+from udbound import ensembles
 from helpers import (
     SINGLET,
     forged_global_as_protocol,
     forged_global_as_separable,
     mixed_shape_protocol,
+    nested_support_ensemble,
     one_site_global,
+    random_ensemble,
+    random_hermitian,
     random_psd,
+    reference_condition_details,
     unhermitian_singlet_povm,
     unhermitian_singlet_terms,
 )
@@ -466,12 +472,9 @@ class TestWeakDualitySandwich:
             )
             bump = random_psd(rng, (2, 2), rank=int(rng.integers(1, 5)))
             certificate = fixtures.sep_certificate + bump
-            for i, (prior, rho) in enumerate(ensemble.items):
-                shifted = certificate - prior * rho
-                from udbound import in_generated_dual
-
-                ok, _ = in_generated_dual(shifted, cones[i], 1e-9)
-                assert ok
+            # 14b: every generator pairing of C - p_i rho_i is nonnegative
+            report = verify_separable_certificate(ensemble, fixtures.locc_measurement, certificate, cones, tol=1e-9)
+            assert max(report.details["14b"].values()) <= 1e-9
             assert success <= certificate.trace + 1e-9
 
 
@@ -580,12 +583,12 @@ class TestCor3ChecksEachElementOnce:
         decorated = fixtures.locc_measurement
         bare = Measurement(ensemble.dims, decorated.elements, locc_protocol=decorated.locc_protocol)
         calls = []
-        reconstruct = SeparableDecomposition.reconstruct
-        def counted(self, dims):
+        kron_sum = ensembles.kron_sum  # every element rebuild, by a protocol or a decomposition, is one kron_sum
+        def counted(terms, sides):
             calls.append(1)
-            return reconstruct(self, dims)
+            return kron_sum(terms, sides)
 
-        monkeypatch.setattr(SeparableDecomposition, "reconstruct", counted)
+        monkeypatch.setattr(ensembles, "kron_sum", counted)
         assert verify_locc_equality(ensemble, bare, fixtures.sep_certificate, cones, tol=1e-8).passed
         assert len(calls) == len(bare.elements)
 
@@ -599,3 +602,88 @@ class TestCor3ChecksEachElementOnce:
             for m in (bare, decorated)
         ]
         assert reports[0] == reports[1]
+
+
+class TestChecksComputeOnStoredMatrices:
+    """The verifier builds no operator: each S_i = C - p_i rho_i, each compression and each pairing is an array."""
+
+    @pytest.mark.parametrize("family", ["example1", "example2_d3", "example2_d4"])
+    def test_no_operator_is_built(self, family, monkeypatch):
+        ensemble, fixtures = build_example1() if family == "example1" else build_example2(int(family[-1]))
+        cones = [example_cone_generators(ensemble, family[:8], i) for i in range(ensemble.n)]
+        built = []
+        post_init = HermitianOperator.__post_init__
+        def counted(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(HermitianOperator, "__post_init__", counted)
+        assert verify_optimality(ensemble, fixtures.global_measurement, fixtures.global_certificate).passed
+        assert not verify_optimality(ensemble, fixtures.locc_measurement, fixtures.sep_certificate).passed
+        checks = (verify_separable_certificate, verify_locc_equality)
+        assert all(check(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones).passed for check in checks)
+        assert not verify_separable_certificate(ensemble, fixtures.locc_measurement, fixtures.global_certificate, cones).passed
+        assert built == []
+
+    @staticmethod
+    def _assert_bits(details, reference):
+        assert list(details) == list(reference)
+        assert np.array(list(details.values())).tobytes() == np.array(list(reference.values())).tobytes()
+
+    @pytest.mark.parametrize("family", ["example1", "example2_d3", "example2_d4"])
+    def test_details_equal_the_operator_path_bit_for_bit(self, family):
+        ensemble, fixtures = build_example1() if family == "example1" else build_example2(int(family[-1]))
+        cones = [example_cone_generators(ensemble, family[:8], i) for i in range(ensemble.n)]
+        rng = np.random.default_rng(27)
+        solved = solve_global(ensemble, tol=1e-7)
+        noise = random_hermitian(rng, ensemble.dims)
+        certificates = (fixtures.global_certificate, fixtures.sep_certificate, solved.dual_certificate, noise)
+        for certificate in certificates:
+            for measurement in (fixtures.global_measurement, solved.measurement):
+                report = verify_optimality(ensemble, measurement, certificate, tol=1e-6)
+                self._assert_bits(report.details["7c"], reference_condition_details(ensemble, certificate))
+            report = verify_separable_certificate(ensemble, fixtures.locc_measurement, certificate, cones)
+            self._assert_bits(report.details["14b"], reference_condition_details(ensemble, certificate, cones))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_7c_equals_the_operator_path_on_complex_ensembles(self, seed):
+        # seed 0 gives a nested-support ensemble, where some K_i is empty and its 7c detail is 0
+        rng = np.random.default_rng(seed)
+        ensemble = nested_support_ensemble() if seed == 0 else random_ensemble(rng, (2, 2) if seed % 2 else (2, 3), 3)
+        solved = solve_global(ensemble, tol=1e-7)
+        for certificate in (solved.dual_certificate, random_hermitian(rng, ensemble.dims)):
+            report = verify_optimality(ensemble, solved.measurement, certificate, tol=1e-6)
+            self._assert_bits(report.details["7c"], reference_condition_details(ensemble, certificate))
+
+
+class TestToleranceBounds:
+    """``tol`` must be finite and positive: anything else is a ``ValueError`` that names it."""
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+    def test_every_verifier_rejects_an_out_of_range_tol(self, example1, tol):
+        ensemble, fixtures, cones = example1
+        calls = (
+            lambda: verify_optimality(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, tol=tol),
+            lambda: verify_separable_certificate(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones, tol=tol),
+            lambda: verify_locc_equality(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones, tol=tol),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^tol must be finite and > 0, got {tol}$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"tol": math.nan}, "tol must be finite and > 0, got nan"), ({"max_iter": 0}, "max_iter must be >= 1, got 0")],
+    )
+    def test_nlwe_checks_the_bounds_before_the_cones(self, example1, kwargs, message):
+        # with tol=nan the cone check failed first, on a pairing of 0: "generator 0 is not orthogonal to state 1"
+        ensemble, _, cones = example1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nlwe_witness(ensemble, cones, **kwargs)
+
+    def test_an_infinite_tol_no_longer_passes_the_locc_pair_under_prop1(self, example1):
+        # at tol=inf every residual is within it: the LOCC measurement (value 1/2) would pass as optimal
+        ensemble, fixtures, _ = example1
+        assert not verify_optimality(ensemble, fixtures.locc_measurement, fixtures.sep_certificate).passed
+        with pytest.raises(ValueError, match="got inf"):
+            verify_optimality(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, tol=math.inf)
