@@ -41,7 +41,6 @@ from .operators import (
     StateVector,
     basis_state,
     hs_inner,
-    min_eigenvalue,
     partial_transpose,
 )
 from .programs import solve_global, solve_separable_bound
@@ -96,7 +95,6 @@ __all__ = [
     "load_cones",
     "load_ensemble",
     "load_measurement",
-    "min_eigenvalue",
     "nlwe_witness",
     "partial_transpose",
     "save_certificate",

@@ -200,7 +200,7 @@ def check_no_error_cone(ensemble: Ensemble, i: int, cone: ConeGenerators, tol: f
     for k, gen in enumerate(cone.generators):
         bound = tol * float(np.linalg.norm(gen.matrix))
         for j, rho in others:
-            pairing = abs(hs_inner(gen, rho))
+            pairing = abs(hs_inner(gen.matrix, rho.matrix))
             if not pairing <= bound:
                 raise ValueError(
                     f"cone {i} generator {k} is not orthogonal to state {j} (|Tr(g rho)| = {pairing:.3e})"

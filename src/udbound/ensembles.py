@@ -83,6 +83,11 @@ class Ensemble:
         return tuple(zip(self.priors, self.states))
 
 
+def _completeness_residual(povm) -> float:
+    """|sum E - I|max of a nonempty family of square matrices of one side: a POVM's completeness residual."""
+    return float(np.abs(sum(povm) - np.eye(len(povm[0]))).max())
+
+
 def _frozen_factors(groups, name: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """Checked, read-only Hermitian parts of nested factor lists (decomposition terms, site POVMs), one stack per shape.
 
@@ -149,14 +154,6 @@ class LoccProtocol:
             self, "assignment", {tuple(int(i) for i in k): int(v) for k, v in self.assignment.items()}
         )
 
-    def local_completeness_residuals(self) -> list[float]:
-        out = []
-        for povm in self.site_povms:
-            side = povm[0].shape[0]
-            total = sum(povm)
-            out.append(float(np.abs(total - np.eye(side)).max()))
-        return out
-
     def reconstruct_elements(self, dims: DimVector, count: int) -> list[np.ndarray]:
         """Coarse-grained measurement elements induced by the protocol, built from the frozen site POVMs."""
         return [kron_sum(terms, dims.dims) for terms in self._grouped_terms(count)]
@@ -198,8 +195,7 @@ class Measurement:
         object.__setattr__(self, "decompositions", tuple(decs))
 
     def completeness_residual(self) -> float:
-        total = sum(el.matrix for el in self.elements)
-        return float(np.abs(total - np.eye(self.dims.total)).max())
+        return _completeness_residual([el.matrix for el in self.elements])
 
     def psd_residual(self) -> float:
         """The largest PSD violation max(0, -smallest eigenvalue) of an element."""

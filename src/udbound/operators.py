@@ -3,8 +3,10 @@
 Operators carry their local-dimension signature.  Operators and the local
 factors of decompositions, protocols and product forms obey one validity
 rule, checked where they are built: finite, within the Hermiticity limit,
-then symmetrized.  Tr(AB) and the smallest eigenvalues have one routine
-each, on arrays.  All values are immutable; every function here is pure.
+then symmetrized.  Every computational routine takes and returns arrays,
+one routine per primitive: ``kron_sum``, ``partial_transpose``,
+``min_eigenvalues``, ``psd_part`` and ``hs_inner``.  All values are
+immutable; every function here is pure.
 """
 
 from __future__ import annotations
@@ -232,8 +234,12 @@ def _normalize_sites(sites: Union[int, Iterable[int]], n_sites: int) -> tuple[in
     return tuple(out)
 
 
-def partial_transpose(op: HermitianOperator, sites: Union[int, Iterable[int]]) -> HermitianOperator:
-    """Transpose the given sites (0-based), leaving the rest untouched."""
+def partial_transpose(op: HermitianOperator, sites: Union[int, Iterable[int]]) -> np.ndarray:
+    """The matrix of ``op`` with the given sites (0-based) transposed and the rest untouched.
+
+    It permutes the entries of a stored, exactly Hermitian matrix, so the
+    result is exactly Hermitian too.
+    """
     dv = op.dims
     swapped = _normalize_sites(sites, dv.sites)
     m = dv.sites
@@ -241,7 +247,7 @@ def partial_transpose(op: HermitianOperator, sites: Union[int, Iterable[int]]) -
     axes = list(range(2 * m))
     for site in swapped:
         axes[site], axes[site + m] = axes[site + m], axes[site]
-    return HermitianOperator(t.transpose(axes).reshape(dv.total, dv.total), dv)
+    return t.transpose(axes).reshape(dv.total, dv.total)
 
 
 def _by_arithmetic(herm: np.ndarray) -> list[tuple[Union[slice, np.ndarray], np.ndarray]]:
@@ -270,11 +276,6 @@ def min_eigenvalues(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def min_eigenvalue(op: HermitianOperator) -> float:
-    """:func:`min_eigenvalues` of one operator."""
-    return float(min_eigenvalues((op.matrix,))[0])
-
-
 def psd_part(stack: np.ndarray) -> np.ndarray:
     """PSD projection (eigenvalues clipped at 0) of each Hermitian matrix of a (count, side, side) stack."""
     out = np.empty(stack.shape, dtype=np.complex128)
@@ -290,13 +291,8 @@ def nan_max(values: Iterable[float]) -> float:
     return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
-def _pairing(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr(AB) of two square matrices of one side; real for Hermitian inputs."""
+def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Hilbert-Schmidt pairing Tr(AB) of two square matrices of one side; real for Hermitian inputs."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return float(np.tensordot(a, b.T, axes=2).real)
-
-
-def hs_inner(a: HermitianOperator, b: HermitianOperator) -> float:
-    """Hilbert-Schmidt pairing Tr(AB); real for Hermitian inputs."""
-    if a.side != b.side:
-        raise ValueError(f"dimension mismatch: {a.side} vs {b.side}")
-    return _pairing(a.matrix, b.matrix)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cones import ConeGenerators, conclusive_subspace, no_error_subspaces, split_support
 from .ensembles import Ensemble, Measurement
-from .operators import HermitianOperator, _pairing, psd_part
+from .operators import HermitianOperator, hs_inner, psd_part
 from .solver import Block, ConicProgram, Constraint, SolveReport, _check_bounds, hermitian_basis, smat, solve
 
 
@@ -48,7 +48,7 @@ def _constraints(stack: np.ndarray, terms: dict, rhs: list[float], sense: str = 
 def _matrix_equality(target: np.ndarray, terms: dict[str, float | np.ndarray]) -> list[Constraint]:
     """Scalar constraints imposing sum_b L_b(X_b) = target, one per Hermitian basis element."""
     basis = hermitian_basis(target.shape[0])
-    return _constraints(basis, terms, [_pairing(f, target) for f in basis])
+    return _constraints(basis, terms, [hs_inner(f, target) for f in basis])
 
 
 def _conclusive_data(ensemble: Ensemble):
@@ -109,7 +109,7 @@ def solve_global(
     value = 0.0
     for i, (basis, _, _) in data.items():
         mats[i] = basis @ psd_part(report.blocks[f"x{i}"][None])[0] @ basis.conj().T
-        value += ensemble.priors[i] * _pairing(ensemble.states[i].matrix, mats[i])
+        value += ensemble.priors[i] * hs_inner(ensemble.states[i].matrix, mats[i])
     elements = [HermitianOperator(np.eye(dims.total) - sum(mats), dims)]
     elements += [HermitianOperator(mat, dims) for mat in mats]
 
@@ -163,7 +163,7 @@ def solve_separable_bound(
         prior = ensemble.priors[i]
         basis = fallback.get(i)
         if basis is None:  # a nonempty cone: one pairing row per generator
-            rhs = [prior * _pairing(rho, g) for g in gens]
+            rhs = [prior * hs_inner(rho, g) for g in gens]
             constraints += _constraints(gens, {"h": support}, rhs, "ge")
         elif basis.shape[1]:
             blocks.append(Block(f"pos{i}", basis.shape[1]))

@@ -2,8 +2,10 @@
 
 Every check here recomputes its residuals from the supplied operators
 alone, with no solver state, so a verdict is reproducible from serialized
-inputs.  Checks compute on the stored matrices and build no operator; each
-condition takes its spectra from one batched ``min_eigenvalues`` call.
+inputs.  Checks compute on the stored matrices and build no operator on
+any route.  Each condition takes its spectra from one batched
+``min_eigenvalues`` call; 14a takes a second one, over every canonical-cut
+partial transpose, only when the certificate is not PSD.
 Condition identifiers in reports are short stable keys used by
 downstream tooling: "3" (no-error pairings), "7a".."7d" (global-optimality
 certificate), "14a"/"14b" (bound-certificate feasibility), "16a"/"16b"
@@ -18,16 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cones import ConeGenerators, _canonical_cuts, _conclusive_bases, check_no_error_cone
-from .ensembles import Ensemble, Measurement
-from .operators import (
-    HermitianOperator,
-    _pairing,
-    hs_inner,
-    min_eigenvalue,
-    min_eigenvalues,
-    nan_max,
-    partial_transpose,
-)
+from .ensembles import Ensemble, Measurement, _completeness_residual
+from .operators import HermitianOperator, hs_inner, min_eigenvalues, nan_max, partial_transpose
 from .programs import solve_global, solve_separable_bound
 from .solver import SolveReport, _check_bounds
 
@@ -74,13 +68,21 @@ class VerificationReport:
 
 def _success_probability(ensemble: Ensemble, measurement: Measurement) -> float:
     return sum(
-        prior * hs_inner(rho, measurement.elements[i + 1])
+        prior * hs_inner(rho.matrix, measurement.elements[i + 1].matrix)
         for i, (prior, rho) in enumerate(ensemble.items)
     )
 
 
+def _check_dims(ensemble: Ensemble, **objects) -> None:
+    for name, obj in objects.items():
+        if obj.dims != ensemble.dims:
+            raise PrecheckError(f"{name} dims {obj.dims.dims} do not match ensemble {ensemble.dims.dims}")
+
+
 def check_no_error(ensemble: Ensemble, measurement: Measurement, tol: float = 1e-8) -> VerificationReport:
-    """Pairings of each state with the other conclusive elements."""
+    """Pairings of each state with the other conclusive elements, under the verifiers' tol and dims rules."""
+    _check_bounds(tol)
+    _check_dims(ensemble, measurement=measurement)
     if len(measurement.elements) != ensemble.n + 1:
         raise ValueError(
             f"measurement has {len(measurement.elements)} elements, expected {ensemble.n + 1}"
@@ -89,7 +91,7 @@ def check_no_error(ensemble: Ensemble, measurement: Measurement, tol: float = 1e
     for i, rho in enumerate(ensemble.states):
         for j in range(ensemble.n):
             if i != j:
-                detail[f"i={i + 1},j={j + 1}"] = abs(hs_inner(rho, measurement.elements[j + 1]))
+                detail[f"i={i + 1},j={j + 1}"] = abs(hs_inner(rho.matrix, measurement.elements[j + 1].matrix))
     worst = nan_max([0.0, *detail.values()])
     return VerificationReport(tolerance=tol, residuals={"3": worst}, details={"3": detail})
 
@@ -105,12 +107,6 @@ def _precheck(ensemble: Ensemble, measurement: Measurement, tol: float) -> None:
         raise PrecheckError(f"POVM completeness precheck failed (residual {comp:.3e})")
 
 
-def _check_dims(ensemble: Ensemble, measurement: Measurement, certificate: HermitianOperator) -> None:
-    for name, dims in (("measurement", measurement.dims), ("certificate", certificate.dims)):
-        if dims != ensemble.dims:
-            raise PrecheckError(f"{name} dims {dims.dims} do not match ensemble {ensemble.dims.dims}")
-
-
 def _conditions(ids, ensemble, measurement, certificate, tol, entry, dual) -> VerificationReport:
     """The four conditions Prop. 1 and Thm. 3 share, reported under ``ids``.
 
@@ -121,8 +117,8 @@ def _conditions(ids, ensemble, measurement, certificate, tol, entry, dual) -> Ve
     res_a, note, cut_detail = entry(certificate, tol)
     shifted = [certificate.matrix - prior * rho.matrix for prior, rho in ensemble.items]
     detail_c = {f"i={i + 1}": nan_max((0.0, -lo)) for i, lo in enumerate(dual(shifted))}
-    detail_d = {f"i={i + 1}": abs(_pairing(measurement.elements[i + 1].matrix, s)) for i, s in enumerate(shifted)}
-    res_b = abs(hs_inner(measurement.elements[0], certificate))
+    detail_d = {f"i={i + 1}": abs(hs_inner(measurement.elements[i + 1].matrix, s)) for i, s in enumerate(shifted)}
+    res_b = abs(hs_inner(measurement.elements[0].matrix, certificate.matrix))
     residuals = (0.0 if res_a is None else res_a, res_b, nan_max(detail_c.values()), nan_max(detail_d.values()))
     return VerificationReport(
         tolerance=tol,
@@ -151,7 +147,7 @@ def verify_optimality(
     programs' own split, :func:`cones.no_error_subspaces`, taken once.
     """
     _check_bounds(tol)
-    _check_dims(ensemble, measurement, certificate)
+    _check_dims(ensemble, measurement=measurement, certificate=certificate)
     _precheck(ensemble, measurement, tol)
     bases = _conclusive_bases(ensemble)
 
@@ -163,7 +159,7 @@ def verify_optimality(
 
     return _conditions(
         ("7a", "7b", "7c", "7d"), ensemble, measurement, certificate, tol,
-        entry=lambda c, _: (max(0.0, -min_eigenvalue(c)), None, {}),
+        entry=lambda c, _: (max(0.0, -float(min_eigenvalues([c.matrix])[0])), None, {}),
         dual=compressed_lows,
     )
 
@@ -193,12 +189,12 @@ def _sep_dual_entry(certificate: HermitianOperator, tol: float):
     across some bipartition is PSD; if neither route certifies membership
     the condition is reported as unverified rather than failed.
     """
-    lo = min_eigenvalue(certificate)
+    (lo,) = min_eigenvalues([certificate.matrix]).tolist()
     if lo >= -tol:
         return max(0.0, -lo), None, {}
+    cuts = _canonical_cuts(certificate.dims.sites)
     cut_detail = {"psd": lo}
-    for cut in _canonical_cuts(certificate.dims.sites):
-        lo_cut = min_eigenvalue(partial_transpose(certificate, cut))
+    for cut, lo_cut in zip(cuts, min_eigenvalues([partial_transpose(certificate, cut) for cut in cuts]).tolist()):
         cut_detail[f"cut={cut}"] = lo_cut
         if lo_cut >= -tol:
             note = f"certified via partial transpose across sites {cut}"
@@ -234,7 +230,7 @@ def _tightness(
         entry=_sep_dual_entry,
         # the smallest Tr(S_i g)/||g|| over the generators g of cone i; an empty cone dualizes to everything
         dual=lambda shifted: [
-            min((_pairing(s, g.matrix) / float(np.linalg.norm(g.matrix)) for g in cone.generators), default=0.0)
+            min((hs_inner(s, g.matrix) / float(np.linalg.norm(g.matrix)) for g in cone.generators), default=0.0)
             for s, cone in zip(shifted, cones)
         ],
     )
@@ -261,7 +257,7 @@ def verify_separable_certificate(
     certificate trace and the measurement's success probability.
     """
     _check_bounds(tol)
-    _check_dims(ensemble, measurement, certificate)
+    _check_dims(ensemble, measurement=measurement, certificate=certificate)
     return _tightness(ensemble, measurement, certificate, cones, tol, rebuilt=False)
 
 
@@ -273,7 +269,8 @@ def _protocol_residual(measurement: Measurement, tol: float) -> float:
         shapes = sorted({el.shape for el in povm})
         if len(shapes) != 1:  # one shape per site; kron_sum checks it against the site side
             raise ProtocolError(f"local POVM at site {k} needs one element shape, has {shapes}")
-    for k, resid in enumerate(protocol.local_completeness_residuals()):
+    for k, povm in enumerate(protocol.site_povms):
+        resid = _completeness_residual(povm)
         if not resid <= tol:
             raise ProtocolError(f"local POVM at site {k} incomplete (residual {resid:.3e})")
     for k, povm in enumerate(protocol.site_povms):
@@ -315,7 +312,7 @@ def verify_locc_equality(
     optimum equals the certified bound.
     """
     _check_bounds(tol)
-    _check_dims(ensemble, measurement, certificate)
+    _check_dims(ensemble, measurement=measurement, certificate=certificate)
     recon = _protocol_residual(measurement, tol)
     report = _tightness(ensemble, measurement, certificate, cones, tol, rebuilt=True)
     report.residuals["locc"] = recon

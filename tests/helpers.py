@@ -23,9 +23,10 @@ from udbound import (
     basis_state,
     conclusive_subspace,
     hs_inner,
-    min_eigenvalue,
+    partial_transpose,
     programs,
 )
+from udbound.cones import _canonical_cuts
 from udbound.operators import nan_max
 
 
@@ -330,26 +331,45 @@ def reference_min_eigenvalue(mat):
     return float(np.linalg.eigvalsh(mat)[0])
 
 
-def reference_condition_details(ensemble, certificate, cones=None):
+def reference_condition_details(ensemble, certificate, cones=None, tol=None):
     """The verifier's 7c details, or with ``cones`` its 14b details, on the operator path.
 
     Each S_i = C - p_i rho_i is built as a checked ``HermitianOperator``.  For 7c, its compression
     B_i^dag S_i B_i onto K_i is one more operator, whose smallest eigenvalue is taken alone (0 for an
     empty K_i); for 14b, the smallest ``hs_inner`` pairing with a generator of cone i over its norm.
+    With ``tol``, the 14a details and note instead (None for a PSD certificate): each canonical-cut
+    partial transpose is a checked operator, taken alone, one cut at a time up to the first that
+    certifies.
     """
+    if tol is not None:
+        return _reference_sep_dual_entry(certificate, tol)
     details = {}
     for i, (prior, rho) in enumerate(ensemble.items):
         shifted = certificate - prior * rho
         if cones is not None:
             gens = cones[i].generators
-            low = min((hs_inner(shifted, g) / float(np.linalg.norm(g.matrix)) for g in gens), default=0.0)
+            low = min((hs_inner(shifted.matrix, g.matrix) / float(np.linalg.norm(g.matrix)) for g in gens), default=0.0)
         else:
             basis = np.asarray(conclusive_subspace(ensemble, i), dtype=np.complex128)
             low = 0.0
             if basis.shape[1]:
-                low = min_eigenvalue(HermitianOperator(basis.conj().T @ shifted.matrix @ basis, (basis.shape[1],)))
+                compressed = HermitianOperator(basis.conj().T @ shifted.matrix @ basis, (basis.shape[1],))
+                low = reference_min_eigenvalue(compressed.matrix)
         details[f"i={i + 1}"] = nan_max((0.0, -low))
     return details
+
+
+def _reference_sep_dual_entry(certificate, tol):
+    low = reference_min_eigenvalue(certificate.matrix)
+    if low >= -tol:
+        return {}, None
+    details = {"psd": low}
+    for cut in _canonical_cuts(certificate.dims.sites):
+        low = reference_min_eigenvalue(HermitianOperator(partial_transpose(certificate, cut), certificate.dims).matrix)
+        details[f"cut={cut}"] = low
+        if low >= -tol:
+            return details, f"certified via partial transpose across sites {cut}"
+    return details, "membership in the separable dual cone unverified"
 
 
 def _reference_from_coordinates(data, field):

@@ -197,10 +197,9 @@ def test_criterion_7_separable_dual_trace_property():
     ok = True
     for k in range(100):
         op = random_psd(rng, (2, 2), rank=int(rng.integers(1, 5)))
-        if k % 2 == 1:
-            op = partial_transpose(op, (0,))
-        ok &= np.abs(op.matrix).max() > 1e-12  # nonzero draw
-        ok &= op.trace > 1e-12
+        mat = partial_transpose(op, (0,)) if k % 2 == 1 else op.matrix
+        ok &= np.abs(mat).max() > 1e-12  # nonzero draw
+        ok &= mat.trace().real > 1e-12
     _report(7, "nonzero separable-dual members have positive trace (100 draws)", ok)
 
 

@@ -86,4 +86,4 @@ def test_example2_d5_separable_bound():
     for i, cone in enumerate(cones):
         shifted = cert - ensemble.priors[i] * ensemble.states[i]
         for gen in cone.generators:
-            assert hs_inner(shifted, gen) / np.linalg.norm(gen.matrix) >= -1e-8
+            assert hs_inner(shifted.matrix, gen.matrix) / np.linalg.norm(gen.matrix) >= -1e-8

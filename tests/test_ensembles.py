@@ -56,7 +56,7 @@ class TestExample1:
     def test_pairwise_overlap(self):
         # <v+|v-> = 1/4 - 3/4 = -1/2, so Tr(rho2 rho3) = (1/2)^4 = 1/16
         ensemble, _ = build_example1()
-        assert hs_inner(ensemble.states[1], ensemble.states[2]) == pytest.approx(1 / 16, abs=1e-14)
+        assert hs_inner(ensemble.states[1].matrix, ensemble.states[2].matrix) == pytest.approx(1 / 16, abs=1e-14)
 
     def test_measurements_are_povms(self):
         _, fixtures = build_example1()
@@ -171,7 +171,7 @@ class TestExample2:
     def test_conclusive_pairing(self):
         ensemble, fixtures = build_example2(3)
         for i in range(3):
-            got = hs_inner(ensemble.states[i], fixtures.global_measurement.elements[i + 1])
+            got = hs_inner(ensemble.states[i].matrix, fixtures.global_measurement.elements[i + 1].matrix)
             assert got == pytest.approx(2 / 5, abs=1e-12)
 
     @pytest.mark.parametrize("d", [3, 4])
@@ -202,14 +202,14 @@ class TestBuildTwoPure:
     def test_orthogonal_pair(self):
         ensemble = build_two_pure(basis_state((2,), (0,)), basis_state((2,), (1,)), 0.5)
         assert ensemble.n == 2
-        assert hs_inner(ensemble.states[0], ensemble.states[1]) == pytest.approx(0.0, abs=1e-14)
+        assert hs_inner(ensemble.states[0].matrix, ensemble.states[1].matrix) == pytest.approx(0.0, abs=1e-14)
 
     def test_overlapping_pair(self):
         from udbound import StateVector
 
         plus = StateVector.normalized([1, 1], (2,))
         ensemble = build_two_pure(basis_state((2,), (0,)), plus, 0.5)
-        assert hs_inner(ensemble.states[0], ensemble.states[1]) == pytest.approx(0.5, abs=1e-12)
+        assert hs_inner(ensemble.states[0].matrix, ensemble.states[1].matrix) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_pair_dims(self):
         ensemble = build_two_pure(basis_state((2, 2), (0, 0)), basis_state((2, 2), (1, 1)), 0.5)

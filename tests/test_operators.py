@@ -16,7 +16,7 @@ from udbound import (
     build_example1,
     build_example2,
     hs_inner,
-    min_eigenvalue,
+    partial_transpose,
 )
 from udbound.cones import _conclusive_bases
 from udbound.operators import kron_sum, min_eigenvalues, nan_max, psd_part
@@ -209,25 +209,25 @@ class TestIsPsd:
     """PSD-ness read off the smallest eigenvalue."""
 
     def test_identity(self):
-        assert min_eigenvalue(HermitianOperator(np.eye(4), (2, 2))) >= -1e-9
+        assert min_eigenvalues([np.eye(4)])[0] >= -1e-9
 
     def test_indefinite(self):
-        assert min_eigenvalue(proj_op(PSI_M, (2, 2)) - 0.5 * HermitianOperator(np.eye(4), (2, 2))) < -1e-9
+        assert min_eigenvalues([(proj_op(PSI_M, (2, 2)) - 0.5 * HermitianOperator(np.eye(4), (2, 2))).matrix])[0] < -1e-9
 
     def test_example1_certificate(self):
         _, fixtures = build_example1()
-        assert min_eigenvalue(fixtures.global_certificate) >= -1e-9
+        assert min_eigenvalues([fixtures.global_certificate.matrix])[0] >= -1e-9
 
     def test_real_entries_in_complex_storage(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((12, 12))
         mat = (a + a.T).astype(np.complex128)
-        assert min_eigenvalue(HermitianOperator(mat, (12,))) == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-12)
+        assert min_eigenvalues([HermitianOperator(mat, (12,)).matrix])[0] == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-12)
 
     def test_imaginary_part_is_kept(self):
         # the real part alone is the identity, whose smallest eigenvalue is 1
         op = HermitianOperator(np.array([[1.0, 1.0j], [-1.0j, 1.0]]), (2,))
-        assert min_eigenvalue(op) == pytest.approx(0.0, abs=1e-12)
+        assert min_eigenvalues([op.matrix])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def _factor(rng, side, kind):
@@ -285,7 +285,7 @@ class TestStackedMinEigenvalues:
         mats = [m for m in mats if m is not None]
         expected = _float_bits([reference_min_eigenvalue(m) for m in mats])
         assert np.array_equal(_float_bits(min_eigenvalues(mats)), expected)
-        assert np.array_equal(_float_bits([min_eigenvalue(HermitianOperator(m, (len(m),))) for m in mats]), expected)
+        assert np.array_equal(_float_bits([min_eigenvalues([HermitianOperator(m, (len(m),)).matrix])[0] for m in mats]), expected)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(FACTOR_KINDS), min_size=2, max_size=12), st.integers(0, 2**32 - 1))
@@ -326,7 +326,7 @@ class TestOneSpectralRule:
         stored = _hermitian_or_rejected(mat, kind)
         if stored is not None:
             expected = _float_bits(reference_min_eigenvalue(stored))
-            assert _float_bits(min_eigenvalue(HermitianOperator(mat, DimVector((side,))))) == expected
+            assert _float_bits(min_eigenvalues([HermitianOperator(mat, DimVector((side,))).matrix])[0]) == expected
             assert _float_bits(min_eigenvalues([stored])[0]) == expected
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -406,21 +406,44 @@ class TestCompress:
 class TestHsInner:
     def test_identity_pairing(self):
         eye = HermitianOperator(np.eye(4), (2, 2))
-        assert hs_inner(eye, eye) == pytest.approx(4.0)
+        assert hs_inner(eye.matrix, eye.matrix) == pytest.approx(4.0)
 
     def test_no_error_pairing_is_zero(self):
         ensemble, fixtures = build_example1()
-        assert hs_inner(ensemble.states[0], fixtures.global_measurement.elements[2]) == pytest.approx(
+        assert hs_inner(ensemble.states[0].matrix, fixtures.global_measurement.elements[2].matrix) == pytest.approx(
             0.0, abs=1e-14
         )
 
     def test_conclusive_pairing_value(self):
         ensemble, fixtures = build_example1()
         # (5/6) * |<00|phi_1>|^2 = (5/6)(9/10) = 3/4
-        assert hs_inner(ensemble.states[0], fixtures.global_measurement.elements[1]) == pytest.approx(
+        assert hs_inner(ensemble.states[0].matrix, fixtures.global_measurement.elements[1].matrix) == pytest.approx(
             0.75, abs=1e-14
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            hs_inner(HermitianOperator(np.eye(2), (2,)), HermitianOperator(np.eye(4), (2, 2)))
+            hs_inner(np.eye(2), np.eye(4))
+
+
+class TestPartialTranspose:
+    """The transposed matrix itself: an entry permutation of a stored, exactly Hermitian matrix."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])
+    def test_returns_the_matrix_an_operator_would_store_bit_for_bit(self, dims):
+        rng = np.random.default_rng(len(dims) * 10 + dims[0])
+        op = random_hermitian(rng, dims)
+        for sites in [(k,) for k in range(len(dims))] + [tuple(range(len(dims) - 1)), ()]:
+            mat = partial_transpose(op, sites)
+            assert type(mat) is np.ndarray and mat.shape == op.matrix.shape
+            assert np.array_equal(mat, mat.conj().T)
+            assert mat.tobytes() == HermitianOperator(mat, dims).matrix.tobytes()
+            assert sorted(mat.ravel().tolist(), key=repr) == sorted(op.matrix.ravel().tolist(), key=repr)
+
+    def test_transposing_every_site_is_the_transpose(self):
+        op = random_hermitian(np.random.default_rng(7), (2, 3))
+        assert np.array_equal(partial_transpose(op, (0, 1)), op.matrix.T)
+
+    def test_site_out_of_range(self):
+        with pytest.raises(ValueError, match="site index 2 out of range for 2 sites"):
+            partial_transpose(HermitianOperator(np.eye(4), (2, 2)), 2)

@@ -20,7 +20,6 @@ from udbound import (
     build_two_pure,
     check_no_error,
     example_cone_generators,
-    min_eigenvalue,
     solve,
     solve_global,
     solve_separable_bound,
@@ -28,6 +27,7 @@ from udbound import (
 )
 from udbound import programs, solver
 from udbound.jsonio import dumps
+from udbound.operators import min_eigenvalues
 from udbound.solver import _project_cone, _side_groups, hermitian_basis, smat, svec
 from helpers import random_density, random_ensemble, solve_global_certificate
 
@@ -381,7 +381,7 @@ class TestCertificateProgram:
         cert, value = solve_global_certificate(ensemble, tol=1e-8)
         assert value == pytest.approx(0.75, abs=1e-6)
         assert cert.trace == pytest.approx(0.75, abs=1e-6)
-        assert min_eigenvalue(cert) >= -1e-7
+        assert min_eigenvalues([cert.matrix])[0] >= -1e-7
 
     def test_orthogonal_pair_perfectly_distinguishable(self):
         ensemble = build_two_pure(basis_state((2,), (0,)), basis_state((2,), (1,)), 0.5)
@@ -402,7 +402,7 @@ class TestSeparableBound:
         assert report.status == "optimal"
         assert report.value == pytest.approx(0.5, abs=1e-6)
         assert report.dual_certificate.trace == pytest.approx(0.5, abs=1e-6)
-        assert min_eigenvalue(report.dual_certificate) >= -1e-12
+        assert min_eigenvalues([report.dual_certificate.matrix])[0] >= -1e-12
 
     @pytest.mark.parametrize("d,expect", [(3, 1 / 5), (4, 1 / 58)])
     def test_example2(self, d, expect):

@@ -89,6 +89,19 @@ class TestCheckNoError:
         with pytest.raises(ValueError, match="elements"):
             check_no_error(ensemble, short)
 
+    def test_an_infinite_tol_is_rejected(self, example1):
+        # at tol=inf four identity elements passed, with residual "3" = 1.0
+        ensemble, _, _ = example1
+        eye = HermitianOperator(np.eye(4), ensemble.dims)
+        with pytest.raises(ValueError, match=r"^tol must be finite and > 0, got inf$"):
+            check_no_error(ensemble, Measurement(ensemble.dims, (eye,) * 4), tol=math.inf)
+
+    def test_a_measurement_on_other_dims_is_rejected(self, example1):
+        # the global fixture on one site of side 4 passed, as the pairings compared sides only
+        ensemble, fixtures, _ = example1
+        with pytest.raises(PrecheckError, match=r"^measurement dims \(4,\) do not match ensemble \(2, 2\)$"):
+            check_no_error(ensemble, one_site_global(fixtures))
+
 
 class TestVerifyOptimality:
     def test_example1_passes_with_value(self, example1):
@@ -467,7 +480,7 @@ class TestWeakDualitySandwich:
         for _ in range(20):
             t = rng.uniform(0.1, 1.0)
             success = sum(
-                prior * t * hs_inner(rho, fixtures.locc_measurement.elements[i + 1])
+                prior * t * hs_inner(rho.matrix, fixtures.locc_measurement.elements[i + 1].matrix)
                 for i, (prior, rho) in enumerate(ensemble.items)
             )
             bump = random_psd(rng, (2, 2), rank=int(rng.integers(1, 5)))
@@ -607,10 +620,19 @@ class TestCor3ChecksEachElementOnce:
 class TestChecksComputeOnStoredMatrices:
     """The verifier builds no operator: each S_i = C - p_i rho_i, each compression and each pairing is an array."""
 
+    @staticmethod
+    def _non_psd_certificates(ensemble, fixtures):
+        """The swap of sites 0 and 1, which 14a certifies across cut (0,), and sep_certificate - 0.05 I, which it leaves unverified."""
+        dims, side = ensemble.dims, ensemble.dims.total
+        order = np.arange(side).reshape(dims.dims).swapaxes(0, 1).reshape(-1)
+        swap = HermitianOperator(np.eye(side)[order], dims)
+        return swap, fixtures.sep_certificate - 0.05 * HermitianOperator(np.eye(side), dims)
+
     @pytest.mark.parametrize("family", ["example1", "example2_d3", "example2_d4"])
     def test_no_operator_is_built(self, family, monkeypatch):
         ensemble, fixtures = build_example1() if family == "example1" else build_example2(int(family[-1]))
         cones = [example_cone_generators(ensemble, family[:8], i) for i in range(ensemble.n)]
+        swap, indefinite = self._non_psd_certificates(ensemble, fixtures)
         built = []
         post_init = HermitianOperator.__post_init__
         def counted(self):
@@ -624,6 +646,22 @@ class TestChecksComputeOnStoredMatrices:
         assert all(check(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones).passed for check in checks)
         assert not verify_separable_certificate(ensemble, fixtures.locc_measurement, fixtures.global_certificate, cones).passed
         assert built == []
+        # 14a's cut route: the swap is certified across a cut, the shifted certificate after every cut
+        for certificate, note in ((swap, "certified via partial transpose across sites (0,)"), (indefinite, None)):
+            for check in checks:
+                report = check(ensemble, fixtures.locc_measurement, certificate, cones)
+                assert ("14a" in report.unverified) == (note is None) and (note is None or note in report.notes)
+        assert built == []
+
+    @pytest.mark.parametrize("family", ["example1", "example2_d3", "example2_d4"])
+    def test_cut_route_equals_the_operator_path_bit_for_bit(self, family):
+        ensemble, fixtures = build_example1() if family == "example1" else build_example2(int(family[-1]))
+        cones = [example_cone_generators(ensemble, family[:8], i) for i in range(ensemble.n)]
+        for certificate in self._non_psd_certificates(ensemble, fixtures):
+            report = verify_separable_certificate(ensemble, fixtures.locc_measurement, certificate, cones)
+            details, note = reference_condition_details(ensemble, certificate, tol=report.tolerance)
+            self._assert_bits(report.details["14a"], details)
+            assert report.notes == [note]
 
     @staticmethod
     def _assert_bits(details, reference):
