@@ -34,6 +34,7 @@ from .operators import (
     DimVector,
     HermitianOperator,
     StateVector,
+    _as_index,
     _hermitian_parts,
     basis_state,
     kron_sum,
@@ -150,9 +151,12 @@ class LoccProtocol:
     def __post_init__(self) -> None:
         site_povms = _frozen_factors(self.site_povms, "local POVM element {member} at site {group}")
         object.__setattr__(self, "site_povms", site_povms)
-        object.__setattr__(
-            self, "assignment", {tuple(int(i) for i in k): int(v) for k, v in self.assignment.items()}
-        )
+        assignment = {
+            tuple(_as_index(i, "index of outcome", k) for i in k): _as_index(v, "element of outcome", k)
+            for k, v in self.assignment.items()
+        }
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "default_element", _as_index(self.default_element, "default_element"))
 
     def reconstruct_elements(self, dims: DimVector, count: int) -> list[np.ndarray]:
         """Coarse-grained measurement elements induced by the protocol, built from the frozen site POVMs."""

@@ -3,8 +3,10 @@
 Operators carry their local-dimension signature.  Operators and the local
 factors of decompositions, protocols and product forms obey one validity
 rule, checked where they are built: finite, within the Hermiticity limit,
-then symmetrized.  Every computational routine takes and returns arrays,
-one routine per primitive: ``kron_sum``, ``partial_transpose``,
+then symmetrized.  The types hold checked data, with no arithmetic but
+``HermitianOperator * s``: a combination is built by the constructor on
+arrays.  Every computational routine takes and returns arrays, one
+routine per primitive: ``kron_sum``, ``partial_transpose``,
 ``min_eigenvalues``, ``psd_part`` and ``hs_inner``.  All values are
 immutable; every function here is pure.
 """
@@ -12,6 +14,7 @@ immutable; every function here is pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -25,6 +28,16 @@ PSD_TOL = 1e-9
 _UNIT_NORM_TOL = 1e-10
 
 
+def _as_index(value: object, *what: object) -> int:
+    """``value`` as an ``int``: an integer (numpy's too), not a ``bool``; else ``ValueError`` naming it by ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{' '.join(map(str, what))} is {value!r}, not an integer")
+
+
 @dataclass(frozen=True)
 class DimVector:
     """Ordered local dimensions (d_1, ..., d_m); site 1 is the slowest index."""
@@ -32,7 +45,7 @@ class DimVector:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_as_index(d, "local dimension") for d in self.dims)
         if len(dims) < 1:
             raise ValueError("at least one site is required")
         if any(d < 1 for d in dims):
@@ -50,9 +63,6 @@ class DimVector:
 
     def __iter__(self):
         return iter(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
 
 
 def _as_dims(dims: Union[DimVector, Sequence[int]]) -> DimVector:
@@ -113,29 +123,12 @@ class HermitianOperator:
         object.__setattr__(self, "dims", dims)
 
     @property
-    def side(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def trace(self) -> float:
         return float(self.matrix.trace().real)
 
-    def _require_same_dims(self, other: "HermitianOperator") -> None:
-        if self.dims != other.dims:
-            raise ValueError(f"dimension mismatch: {self.dims.dims} vs {other.dims.dims}")
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._require_same_dims(other)
-        return HermitianOperator(self.matrix + other.matrix, self.dims)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._require_same_dims(other)
-        return HermitianOperator(self.matrix - other.matrix, self.dims)
-
     def __mul__(self, scalar: float) -> "HermitianOperator":
+        """``op * s``, the scalar product ``bench/test_bench.py`` calls; other code uses the constructor on arrays."""
         return HermitianOperator(self.matrix * float(scalar), self.dims)
-
-    __rmul__ = __mul__
 
 
 def _reject_nonfinite(amp: np.ndarray) -> None:
@@ -294,5 +287,5 @@ def nan_max(values: Iterable[float]) -> float:
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Hilbert-Schmidt pairing Tr(AB) of two square matrices of one side; real for Hermitian inputs."""
     if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+        raise ValueError(f"dimension mismatch: shapes {a.shape} vs {b.shape}")
     return float(np.tensordot(a, b.T, axes=2).real)

@@ -345,7 +345,7 @@ def reference_condition_details(ensemble, certificate, cones=None, tol=None):
         return _reference_sep_dual_entry(certificate, tol)
     details = {}
     for i, (prior, rho) in enumerate(ensemble.items):
-        shifted = certificate - prior * rho
+        shifted = HermitianOperator(certificate.matrix - prior * rho.matrix, certificate.dims)
         if cones is not None:
             gens = cones[i].generators
             low = min((hs_inner(shifted.matrix, g.matrix) / float(np.linalg.norm(g.matrix)) for g in gens), default=0.0)

@@ -11,6 +11,7 @@ import numpy as np
 from udbound import (
     ConeGenerators,
     DimVector,
+    HermitianOperator,
     basis_state,
     build_example1,
     build_example2,
@@ -211,10 +212,17 @@ def test_criterion_8_negative_controls():
         which = "example1" if not args else "example2"
         cones = [example_cone_generators(ensemble, which, i) for i in range(ensemble.n)]
         doubled_k = verify_optimality(
-            ensemble, fixtures.global_measurement, 2.0 * fixtures.global_certificate, tol=1e-8
+            ensemble,
+            fixtures.global_measurement,
+            HermitianOperator(2.0 * fixtures.global_certificate.matrix, ensemble.dims),
+            tol=1e-8,
         )
         doubled_h = verify_separable_certificate(
-            ensemble, fixtures.locc_measurement, 2.0 * fixtures.sep_certificate, cones, tol=1e-8
+            ensemble,
+            fixtures.locc_measurement,
+            HermitianOperator(2.0 * fixtures.sep_certificate.matrix, ensemble.dims),
+            cones,
+            tol=1e-8,
         )
         ok &= not doubled_k.passed and len(doubled_k.failing) > 0
         ok &= not doubled_h.passed and len(doubled_h.failing) > 0

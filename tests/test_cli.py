@@ -219,7 +219,7 @@ class TestVerifyCommand:
     def test_prop1_doubled_certificate_fails(self, example1_files, tmp_path):
         cert = load_certificate(example1_files["global_certificate"])
         bad = tmp_path / "doubled.json"
-        save_certificate(2.0 * cert, bad)
+        save_certificate(HermitianOperator(2.0 * cert.matrix, cert.dims), bad)
         out = tmp_path / "report.json"
         code = main(
             [

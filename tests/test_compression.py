@@ -84,6 +84,6 @@ def test_example2_d5_separable_bound():
     assert report.value == pytest.approx(1 / 617, abs=1e-7)
     cert = report.dual_certificate
     for i, cone in enumerate(cones):
-        shifted = cert - ensemble.priors[i] * ensemble.states[i]
+        shifted = HermitianOperator(cert.matrix - ensemble.priors[i] * ensemble.states[i].matrix, cert.dims)
         for gen in cone.generators:
             assert hs_inner(shifted.matrix, gen.matrix) / np.linalg.norm(gen.matrix) >= -1e-8

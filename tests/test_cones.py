@@ -255,7 +255,9 @@ class TestInGeneratedDual:
         ensemble, fixtures = build_example1()
         cones = [example_cone_generators(ensemble, "example1", i) for i in range(3)]
         for i, cone in enumerate(cones):
-            shifted = fixtures.sep_certificate - ensemble.priors[i] * ensemble.states[i]
+            shifted = HermitianOperator(
+                fixtures.sep_certificate.matrix - ensemble.priors[i] * ensemble.states[i].matrix, ensemble.dims
+            )
             assert abs(_worst_pairing(shifted, cone)) < 1e-12
         report = verify_separable_certificate(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones)
         assert all(v < 1e-12 for v in report.details["14b"].values())
@@ -264,7 +266,9 @@ class TestInGeneratedDual:
         ensemble, fixtures = build_example2(3)
         cones = [example_cone_generators(ensemble, "example2", i) for i in range(3)]
         for i, cone in enumerate(cones):
-            shifted = fixtures.sep_certificate - ensemble.priors[i] * ensemble.states[i]
+            shifted = HermitianOperator(
+                fixtures.sep_certificate.matrix - ensemble.priors[i] * ensemble.states[i].matrix, ensemble.dims
+            )
             assert abs(_worst_pairing(shifted, cone)) < 1e-12
         report = verify_separable_certificate(ensemble, fixtures.locc_measurement, fixtures.sep_certificate, cones)
         assert all(v < 1e-12 for v in report.details["14b"].values())
@@ -273,7 +277,7 @@ class TestInGeneratedDual:
         dims = DimVector((2, 2))
         eye = HermitianOperator(np.eye(4), dims)
         cone = ConeGenerators(dims, (eye,))
-        assert _worst_pairing(-1.0 * eye, cone) == pytest.approx(-2.0)
+        assert _worst_pairing(HermitianOperator(-1.0 * eye.matrix, dims), cone) == pytest.approx(-2.0)
 
     def test_empty_generator_list_dualizes_to_everything(self):
         # the verifier's 14b detail of a state with an empty cone is 0 whatever the certificate

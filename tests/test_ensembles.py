@@ -41,7 +41,7 @@ class TestValidation:
 
     def test_non_psd_state_reported(self):
         ensemble, _ = build_example1()
-        shifted = ensemble.states[0] - 0.01 * HermitianOperator(np.eye(4), ensemble.dims)
+        shifted = HermitianOperator(ensemble.states[0].matrix - 0.01 * np.eye(4), ensemble.dims)
         broken = Ensemble(ensemble.dims, ensemble.priors, (shifted,) + ensemble.states[1:])
         assert any("not PSD" in v for v in validate_ensemble(broken))
 
@@ -93,6 +93,30 @@ class TestProductStructure:
         protocol = LoccProtocol("x", ((np.eye(2),), (np.eye(2),)), {(0, 0): target})
         with pytest.raises(ValueError, match=f"assigned to element {target} out of range"):
             protocol.derive_decompositions(DimVector((2, 2)), 2)
+
+    @pytest.mark.parametrize(
+        "assignment, default, message",
+        [
+            ({(0.7, 0): 1}, 0, r"index of outcome \(0.7, 0\) is 0.7"),
+            ({(True, 0): 1}, 0, r"index of outcome \(True, 0\) is True"),
+            ({(0, 0): 1.5}, 0, r"element of outcome \(0, 0\) is 1.5"),
+            ({(0, 0): True}, 0, r"element of outcome \(0, 0\) is True"),
+            ({}, 0.5, "default_element is 0.5"),
+            ({}, False, "default_element is False"),
+        ],
+        ids=["float outcome", "bool outcome", "float element", "bool element", "float default", "bool default"],
+    )
+    def test_indices_that_are_not_integers_are_rejected(self, assignment, default, message):
+        # int() truncated (0.7, 0) to (0, 0), and a float default_element reached a list index as a TypeError
+        with pytest.raises(ValueError, match=f"^{message}, not an integer$"):
+            LoccProtocol("x", ((np.eye(2),), (np.eye(2),)), assignment, default)
+
+    def test_numpy_integer_indices_are_stored_as_ints(self):
+        assignment = {(np.int64(0), np.int8(0)): np.int32(1)}
+        protocol = LoccProtocol("x", ((np.eye(2),), (np.eye(2),)), assignment, np.int64(0))
+        ((outcome, element),) = protocol.assignment.items()
+        assert (*outcome, element, protocol.default_element) == (0, 0, 1, 0)
+        assert {type(i) for i in (*outcome, element, protocol.default_element)} == {int}
 
     def test_factors_are_read_only_complex_copies(self):
         a, b = np.eye(2), np.ones((3, 3))

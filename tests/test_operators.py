@@ -44,6 +44,16 @@ class TestDimVector:
         with pytest.raises(ValueError):
             DimVector(())
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, np.True_, "2"], ids=repr)
+    def test_rejects_a_dim_that_is_not_an_integer(self, dim):
+        # int() truncated: (2.5, 2) read as (2, 2) and (True, 3) as (1, 3)
+        with pytest.raises(ValueError, match=rf"^local dimension is {re.escape(repr(dim))}, not an integer$"):
+            DimVector((dim, 2))
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        dv = DimVector((np.int64(2), np.int32(3)))
+        assert dv.dims == (2, 3) and all(type(d) is int for d in dv.dims)
+
 
 class TestHermitianOperator:
     def test_symmetrizes_a_deviation_within_the_limit(self):
@@ -212,7 +222,7 @@ class TestIsPsd:
         assert min_eigenvalues([np.eye(4)])[0] >= -1e-9
 
     def test_indefinite(self):
-        assert min_eigenvalues([(proj_op(PSI_M, (2, 2)) - 0.5 * HermitianOperator(np.eye(4), (2, 2))).matrix])[0] < -1e-9
+        assert min_eigenvalues([HermitianOperator(proj_op(PSI_M, (2, 2)).matrix - 0.5 * np.eye(4), (2, 2)).matrix])[0] < -1e-9
 
     def test_example1_certificate(self):
         _, fixtures = build_example1()
@@ -424,6 +434,11 @@ class TestHsInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             hs_inner(np.eye(2), np.eye(4))
+
+    def test_a_non_square_mismatch_names_both_shapes(self):
+        # printing shape[0] alone read "dimension mismatch: 2 vs 2"
+        with pytest.raises(ValueError, match=r"^dimension mismatch: shapes \(2, 2\) vs \(2, 3\)$"):
+            hs_inner(np.eye(2), np.ones((2, 3)))
 
 
 class TestPartialTranspose:

@@ -34,7 +34,7 @@ from udbound import (
     verify_optimality,
     verify_separable_certificate,
 )
-from udbound import ensembles
+from udbound import ensembles, verify
 from helpers import (
     SINGLET,
     forged_global_as_protocol,
@@ -123,12 +123,18 @@ class TestVerifyOptimality:
     def test_scaled_certificate_fails_slackness(self, example1):
         ensemble, fixtures, _ = example1
         doubled = verify_optimality(
-            ensemble, fixtures.global_measurement, 2.0 * fixtures.global_certificate, tol=1e-8
+            ensemble,
+            fixtures.global_measurement,
+            HermitianOperator(2.0 * fixtures.global_certificate.matrix, ensemble.dims),
+            tol=1e-8,
         )
         assert not doubled.passed
         assert "7d" in doubled.failing
         halved = verify_optimality(
-            ensemble, fixtures.global_measurement, 0.5 * fixtures.global_certificate, tol=1e-8
+            ensemble,
+            fixtures.global_measurement,
+            HermitianOperator(0.5 * fixtures.global_certificate.matrix, ensemble.dims),
+            tol=1e-8,
         )
         assert not halved.passed
         assert {"7c", "7d"} <= set(halved.failing)
@@ -136,7 +142,7 @@ class TestVerifyOptimality:
     def test_broken_povm_raises_precheck(self, example1):
         ensemble, fixtures, _ = example1
         elements = list(fixtures.global_measurement.elements)
-        elements[0] = 0.5 * elements[0]
+        elements[0] = HermitianOperator(0.5 * elements[0].matrix, ensemble.dims)
         broken = Measurement(ensemble.dims, tuple(elements))
         with pytest.raises(PrecheckError, match="completeness"):
             verify_optimality(ensemble, broken, fixtures.global_certificate)
@@ -176,7 +182,7 @@ class TestVerifySeparableCertificate:
         certificate = HermitianOperator(0.5 * (v00.projector().matrix + v11.projector().matrix), dims)
         e0 = np.array([[1.0, 0.0], [0.0, 0.0]])
         e1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-        m0 = HermitianOperator(np.eye(4), dims) - v00.projector() - v11.projector()
+        m0 = HermitianOperator(np.eye(4) - v00.projector().matrix - v11.projector().matrix, dims)
         m0_dec = SeparableDecomposition(((e0, e1), (e1, e0)))
         measurement = Measurement(
             dims,
@@ -200,12 +206,20 @@ class TestVerifySeparableCertificate:
     def test_scaled_certificate_fails(self, example1):
         ensemble, fixtures, cones = example1
         doubled = verify_separable_certificate(
-            ensemble, fixtures.locc_measurement, 2.0 * fixtures.sep_certificate, cones, tol=1e-8
+            ensemble,
+            fixtures.locc_measurement,
+            HermitianOperator(2.0 * fixtures.sep_certificate.matrix, ensemble.dims),
+            cones,
+            tol=1e-8,
         )
         assert not doubled.passed
         assert "16b" in doubled.failing
         halved = verify_separable_certificate(
-            ensemble, fixtures.locc_measurement, 0.5 * fixtures.sep_certificate, cones, tol=1e-8
+            ensemble,
+            fixtures.locc_measurement,
+            HermitianOperator(0.5 * fixtures.sep_certificate.matrix, ensemble.dims),
+            cones,
+            tol=1e-8,
         )
         assert not halved.passed
         assert "14b" in halved.failing
@@ -214,19 +228,26 @@ class TestVerifySeparableCertificate:
     def test_scaling_breaks_slackness_on_qudit_family(self, example2_d3, scale):
         ensemble, fixtures, cones = example2_d3
         prop = verify_optimality(
-            ensemble, fixtures.global_measurement, scale * fixtures.global_certificate, tol=1e-8
+            ensemble,
+            fixtures.global_measurement,
+            HermitianOperator(scale * fixtures.global_certificate.matrix, ensemble.dims),
+            tol=1e-8,
         )
         assert not prop.passed
         assert {"7c", "7d"} & set(prop.failing)
         thm = verify_separable_certificate(
-            ensemble, fixtures.locc_measurement, scale * fixtures.sep_certificate, cones, tol=1e-8
+            ensemble,
+            fixtures.locc_measurement,
+            HermitianOperator(scale * fixtures.sep_certificate.matrix, ensemble.dims),
+            cones,
+            tol=1e-8,
         )
         assert not thm.passed
         assert {"14b", "16b"} & set(thm.failing)
 
     def test_indefinite_certificate_reported_unverified(self, example1):
         ensemble, fixtures, cones = example1
-        indefinite = fixtures.sep_certificate - 0.05 * HermitianOperator(np.eye(4), ensemble.dims)
+        indefinite = HermitianOperator(fixtures.sep_certificate.matrix - 0.05 * np.eye(4), ensemble.dims)
         report = verify_separable_certificate(
             ensemble, fixtures.locc_measurement, indefinite, cones, tol=1e-8
         )
@@ -484,7 +505,7 @@ class TestWeakDualitySandwich:
                 for i, (prior, rho) in enumerate(ensemble.items)
             )
             bump = random_psd(rng, (2, 2), rank=int(rng.integers(1, 5)))
-            certificate = fixtures.sep_certificate + bump
+            certificate = HermitianOperator(fixtures.sep_certificate.matrix + bump.matrix, ensemble.dims)
             # 14b: every generator pairing of C - p_i rho_i is nonnegative
             report = verify_separable_certificate(ensemble, fixtures.locc_measurement, certificate, cones, tol=1e-9)
             assert max(report.details["14b"].values()) <= 1e-9
@@ -626,7 +647,7 @@ class TestChecksComputeOnStoredMatrices:
         dims, side = ensemble.dims, ensemble.dims.total
         order = np.arange(side).reshape(dims.dims).swapaxes(0, 1).reshape(-1)
         swap = HermitianOperator(np.eye(side)[order], dims)
-        return swap, fixtures.sep_certificate - 0.05 * HermitianOperator(np.eye(side), dims)
+        return swap, HermitianOperator(fixtures.sep_certificate.matrix - 0.05 * np.eye(side), dims)
 
     @pytest.mark.parametrize("family", ["example1", "example2_d3", "example2_d4"])
     def test_no_operator_is_built(self, family, monkeypatch):
@@ -662,6 +683,23 @@ class TestChecksComputeOnStoredMatrices:
             details, note = reference_condition_details(ensemble, certificate, tol=report.tolerance)
             self._assert_bits(report.details["14a"], details)
             assert report.notes == [note]
+
+    def test_cut_spectra_stop_at_the_first_cut_that_certifies(self, monkeypatch):
+        # example2 d=4 has cuts (0,), (0, 1) and (0, 2); the swap is certified at the first, so 14a takes
+        # the certificate's spectrum and one cut spectrum (batching every cut took [1, 3])
+        ensemble, fixtures = build_example2(4)
+        cones = [example_cone_generators(ensemble, "example2", i) for i in range(ensemble.n)]
+        swap, _ = self._non_psd_certificates(ensemble, fixtures)
+        counts = []
+        spectra = verify.min_eigenvalues
+        def counted(mats):
+            counts.append(len(mats))
+            return spectra(mats)
+
+        monkeypatch.setattr(verify, "min_eigenvalues", counted)
+        report = verify_separable_certificate(ensemble, fixtures.locc_measurement, swap, cones)
+        assert counts == [1, 1]
+        assert list(report.details["14a"]) == ["psd", "cut=(0,)"]
 
     @staticmethod
     def _assert_bits(details, reference):
